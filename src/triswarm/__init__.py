@@ -26,6 +26,7 @@ from .interaction import (
     ValidationReport,
     lj_derivative,
     lj_force,
+    lj_potential,
     linear_spring,
     saturated_lennard_jones,
     validate_assumption1,

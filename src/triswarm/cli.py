@@ -124,7 +124,7 @@ def cmd_simulate(args) -> int:
             for s in diag_rows:
                 fh.write(
                     f"{fmt(s.t)},{fmt(s.value)},{fmt(s.rate_analytic)},"
-                    f"{fmt(s.rate_numeric)},{s.link_count},{int(s.links_changed)}\n"
+                    f"{fmt(s.rate_numeric)},{s.link_count},{int(s.flagged)}\n"
                 )
     summary = {
         "e_final": e_final,

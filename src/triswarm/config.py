@@ -10,42 +10,52 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import get_args, get_origin, get_type_hints
 
 from .dynamics import SimulationParams
 from .errors import InvalidInputError
-from .interaction import InteractionFunction, LennardJonesParams, saturated_lennard_jones
+from .interaction import (
+    R_A_DEFAULT,
+    InteractionFunction,
+    LennardJonesParams,
+    saturated_lennard_jones,
+)
 from .lattice import GROWTH_POLICIES
+
+
+_LJ = LennardJonesParams()
+_SIM = SimulationParams()
+
+
+def _key(dotted: str, default):
+    """A field read from config files under the dotted key `section.name`."""
+    return field(default=default, metadata={"key": dotted})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # interaction
-    a: float = 0.5
-    b: float = 0.5
-    c: int = 12
-    saturation: float = 1.0
-    truncate: bool = False
-    # geometry
-    R: float = 1.0
-    R_a: float = (1.0 + math.sqrt(3.0)) / 2.0
-    R_s: float = 3.0
-    # simulation
-    dt: float = 0.01
-    horizon: float = 20.0
-    record_every: int = 1
-    # experiment
-    n: int = 100
-    delta: float = 0.2
-    delta_grid: tuple[float, ...] = ()
-    trials: int = 20
-    lattice_seed: int = 0
-    perturb_seed: int = 1
-    growth: str = "compact"
-    # spectrum batches
-    spectrum_n_values: tuple[int, ...] = (25, 50, 100)
-    spectrum_seeds_per_n: int = 3
-    # output
-    out_dir: str = "triswarm-out"
+    a: float = _key("interaction.a", _LJ.a)
+    b: float = _key("interaction.b", _LJ.b)
+    c: int = _key("interaction.c", _LJ.c)
+    saturation: float = _key("interaction.saturation", _LJ.saturation)
+    truncate: bool = _key("interaction.truncate", False)
+    R: float = _key("geometry.R", _SIM.R)
+    R_a: float = _key("geometry.R_a", R_A_DEFAULT)
+    R_s: float = _key("geometry.R_s", _SIM.R_s)
+    dt: float = _key("simulation.dt", _SIM.dt)
+    horizon: float = _key("simulation.horizon", _SIM.horizon)
+    record_every: int = _key("simulation.record_every", _SIM.record_every)
+    n: int = _key("experiment.n", 100)
+    delta: float = _key("experiment.delta", 0.2)
+    delta_grid: tuple[float, ...] = _key("experiment.delta_grid", ())
+    trials: int = _key("experiment.trials", 20)
+    lattice_seed: int = _key("experiment.lattice_seed", 0)
+    perturb_seed: int = _key("experiment.perturb_seed", 1)
+    growth: str = _key("experiment.growth", "compact")
+    spectrum_n_values: tuple[int, ...] = _key("spectrum.n_values", (25, 50, 100))
+    spectrum_seeds_per_n: int = _key("spectrum.seeds_per_n", 3)
+    out_dir: str = _key("output.dir", "triswarm-out")
 
     def validate(self) -> None:
         root = (self.a / self.b) ** (1.0 / self.c)
@@ -95,31 +105,6 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-_KEY_MAP = {
-    "interaction.a": ("a", float),
-    "interaction.b": ("b", float),
-    "interaction.c": ("c", int),
-    "interaction.saturation": ("saturation", float),
-    "interaction.truncate": ("truncate", None),
-    "geometry.R": ("R", float),
-    "geometry.R_a": ("R_a", float),
-    "geometry.R_s": ("R_s", float),
-    "simulation.dt": ("dt", float),
-    "simulation.horizon": ("horizon", float),
-    "simulation.record_every": ("record_every", int),
-    "experiment.n": ("n", int),
-    "experiment.delta": ("delta", float),
-    "experiment.delta_grid": ("delta_grid", None),
-    "experiment.trials": ("trials", int),
-    "experiment.lattice_seed": ("lattice_seed", int),
-    "experiment.perturb_seed": ("perturb_seed", int),
-    "experiment.growth": ("growth", str),
-    "spectrum.n_values": ("spectrum_n_values", None),
-    "spectrum.seeds_per_n": ("spectrum_seeds_per_n", int),
-    "output.dir": ("out_dir", str),
-}
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -127,6 +112,26 @@ def _parse_bool(text: str) -> bool:
     if low in ("false", "0", "no", "off"):
         return False
     raise InvalidInputError(f"not a boolean: {text!r}")
+
+
+def _parse_tuple(item_type, text: str) -> tuple:
+    return tuple(item_type(v) for v in text.split(",") if v.strip())
+
+
+def _parser(field_type):
+    """Text-to-value conversion for a field of the given type."""
+    if field_type is bool:
+        return _parse_bool
+    if get_origin(field_type) is tuple:
+        return partial(_parse_tuple, get_args(field_type)[0])
+    return field_type
+
+
+_TYPES = get_type_hints(ExperimentConfig)
+#: dotted config key -> (ExperimentConfig field name, text-to-value conversion)
+_FIELDS_BY_KEY = {
+    f.metadata["key"]: (f.name, _parser(_TYPES[f.name])) for f in fields(ExperimentConfig)
+}
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -139,18 +144,11 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if "=" not in line:
             raise InvalidInputError(f"line {lineno}: expected 'section.key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_MAP:
+        if key not in _FIELDS_BY_KEY:
             raise InvalidInputError(f"line {lineno}: unknown key {key!r}")
-        name, conv = _KEY_MAP[key]
+        name, parse = _FIELDS_BY_KEY[key]
         try:
-            if key == "interaction.truncate":
-                updates[name] = _parse_bool(value)
-            elif key == "experiment.delta_grid":
-                updates[name] = tuple(float(v) for v in value.split(",") if v.strip())
-            elif key == "spectrum.n_values":
-                updates[name] = tuple(int(v) for v in value.split(",") if v.strip())
-            else:
-                updates[name] = conv(value)
+            updates[name] = parse(value)
         except ValueError as exc:
             raise InvalidInputError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return replace(cfg, **updates)

@@ -44,7 +44,6 @@ class LyapunovSample:
     rate_analytic: float
     rate_numeric: float
     link_count: int
-    links_changed: bool
     flagged: bool  # links changed over [t, t+dt]: the comparison is invalid there
     mismatch: bool  # unflagged but |rate_numeric - rate_analytic| > tol
 
@@ -102,7 +101,6 @@ def dissipation_check(
                 rate_analytic=rate_an,
                 rate_numeric=float(rate_num),
                 link_count=link_counts[k],
-                links_changed=flagged,
                 flagged=flagged,
                 mismatch=mismatch,
             )

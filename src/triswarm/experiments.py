@@ -8,13 +8,14 @@ changes the outcome of the others, and reruns are bit-identical.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import multiprocessing
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import SimulationParams, simulate
-from .errors import IntegrationDivergedError, InvalidInputError
+from .errors import DegenerateConfigurationError, IntegrationDivergedError, InvalidInputError
 from .graph import SwarmConfig, compute_links, is_infinitesimally_rigid
 from .interaction import InteractionFunction
 from .lattice import LatticeSpec, generate_triangular, is_triangular, link_error, perturb
@@ -93,8 +94,12 @@ def run_trial(
     fn: InteractionFunction,
     track_rigidity: bool = False,
     growth: str = "compact",
+    observers=(),
 ) -> TrialRecord:
-    """Generate a lattice, perturb it, simulate, and score the terminal state."""
+    """Generate a lattice, perturb it, simulate, and score the terminal state.
+
+    `observers` are passed on to `simulate`, after the rigidity tracker.
+    """
     lattice_seed, perturb_seed = seeds
     lattice = generate_triangular(
         LatticeSpec(n=n, R=sim.R, seed=lattice_seed, growth=growth), sim.R_a
@@ -103,14 +108,14 @@ def run_trial(
     e_initial = link_error(initial, sim.R, sim.R_a)
     diverged = False
     rigidity_flags: list[bool] = []
-    observers = []
+    trackers = []
     if track_rigidity:
         def check_rigidity(step, t, positions):
             cfg = SwarmConfig(positions)
             rigidity_flags.append(is_infinitesimally_rigid(cfg, compute_links(cfg, sim.R_a)))
-        observers.append(check_rigidity)
+        trackers.append(check_rigidity)
     try:
-        traj = simulate(initial, fn, sim, observers=observers)
+        traj = simulate(initial, fn, sim, observers=[*trackers, *observers])
         final = traj.final
     except IntegrationDivergedError as exc:
         diverged = True
@@ -118,7 +123,7 @@ def run_trial(
     report = is_triangular(final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)
     try:
         e_final = link_error(final, sim.R, sim.R_a)
-    except Exception:
+    except DegenerateConfigurationError:
         e_final = float("inf")
     rigid = report.rigid
     converged = (not diverged) and rigid and e_final <= CONVERGENCE_E
@@ -137,43 +142,24 @@ def run_trial(
     )
 
 
-def _with_index(record: TrialRecord, idx: int) -> TrialRecord:
-    return TrialRecord(**{**record.__dict__, "trial_index": idx})
-
-
-# The interaction function holds closures, so it is handed to forked workers
-# through inherited memory rather than pickled with each task.
-_WORKER_FN: InteractionFunction | None = None
-
-
-def _run_one(args):
-    n, delta, seeds, sim, trial_index, growth = args
-    return _with_index(
-        run_trial(n, delta, seeds, sim, _WORKER_FN, growth=growth), trial_index
-    )
+def _run_one(task) -> TrialRecord:
+    n, delta, seeds, sim, fn, trial_index, growth = task
+    return replace(run_trial(n, delta, seeds, sim, fn, growth=growth), trial_index=trial_index)
 
 
 def delta_sweep(spec: SweepSpec, fn: InteractionFunction, jobs: int = 1) -> SweepResult:
     """Independent trials for every perturbation radius, aggregated per radius."""
-    global _WORKER_FN
     tasks = []
     for di, delta in enumerate(spec.delta_values):
         for ti in range(spec.trials_per_delta):
             ls, _ = trial_seeds(spec.lattice_seed_base, di, ti)
             _, ps = trial_seeds(spec.perturb_seed_base, di, ti)
-            tasks.append((spec.n, delta, (ls, ps), spec.sim, ti, spec.growth))
-    _WORKER_FN = fn
-    try:
-        if jobs > 1:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(jobs) as pool:
-                records = pool.map(_run_one, tasks)
-        else:
-            records = [_run_one(t) for t in tasks]
-    finally:
-        _WORKER_FN = None
+            tasks.append((spec.n, delta, (ls, ps), spec.sim, fn, ti, spec.growth))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            records = pool.map(_run_one, tasks)
+    else:
+        records = [_run_one(t) for t in tasks]
     # records arrive ordered by (delta index, trial index) by construction
     summaries = []
     per_delta = spec.trials_per_delta
@@ -215,53 +201,35 @@ def convergence_study(
     track_rigidity: bool = False,
     growth: str = "compact",
 ) -> ConvergenceStudy:
-    """Error time series of repeated trials at one perturbation radius."""
+    """Error time series of repeated trials at one perturbation radius.
+
+    Raises IntegrationDivergedError if a trial diverges.
+    """
+    if trials < 1:
+        raise InvalidInputError("trials must be >= 1")
     all_series = []
-    times = None
     records = []
     for ti in range(trials):
         ls, _ = trial_seeds(lattice_seed_base, 0, ti)
         _, ps = trial_seeds(perturb_seed_base, 0, ti)
-        lattice = generate_triangular(
-            LatticeSpec(n=n, R=sim.R, seed=ls, growth=growth), sim.R_a
-        )
-        initial = perturb(lattice, delta, ps)
-        errors = []
-        rigidity_flags = []
+        times, errors = [], []
 
         def observe(step, t, positions):
-            cfg = SwarmConfig(positions)
-            errors.append(link_error(cfg, sim.R, sim.R_a))
-            if track_rigidity:
-                rigidity_flags.append(
-                    is_infinitesimally_rigid(cfg, compute_links(cfg, sim.R_a))
-                )
+            times.append(t)
+            errors.append(link_error(SwarmConfig(positions), sim.R, sim.R_a))
 
-        traj = simulate(initial, fn, sim, observers=[observe])
-        if times is None:
-            times = traj.times
-        all_series.append(errors)
-        final = traj.final
-        report = is_triangular(final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)
-        e_final = errors[-1]
-        records.append(
-            TrialRecord(
-                delta=float(delta),
-                trial_index=ti,
-                lattice_seed=ls,
-                perturb_seed=ps,
-                e_initial=errors[0],
-                e_final=e_final,
-                rigid_final=report.rigid,
-                triangular_final=report.ok,
-                converged=report.rigid and e_final <= CONVERGENCE_E,
-                diverged=False,
-                rigidity_preserved=all(rigidity_flags) if track_rigidity else None,
-            )
+        record = run_trial(
+            n, delta, (ls, ps), sim, fn, track_rigidity, growth, observers=[observe]
         )
+        if record.diverged:
+            raise IntegrationDivergedError(
+                f"trial {ti} diverged (lattice seed {ls}, perturb seed {ps})"
+            )
+        records.append(replace(record, trial_index=ti))
+        all_series.append(errors)
     series = np.asarray(all_series)
     return ConvergenceStudy(
-        times=times,
+        times=np.asarray(times),
         series=series,
         mean=series.mean(axis=0),
         min=series.min(axis=0),

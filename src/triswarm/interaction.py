@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -47,17 +48,20 @@ def _require_positive(z):
     return z
 
 
-def lj_force(z, params: LennardJonesParams):
-    """Saturated Lennard-Jones force. Accepts scalars or arrays."""
+def lj_force(z, params: LennardJonesParams, r_a: float = math.inf):
+    """Saturated Lennard-Jones force, exactly zero beyond r_a. Accepts scalars or arrays."""
     z = _require_positive(z)
     w = z ** (-params.c)
-    raw = params.a * w * w - params.b * w
-    out = np.minimum(raw, params.saturation)
+    out = np.minimum(params.a * w * w - params.b * w, params.saturation)
+    if r_a < math.inf:
+        out = np.where(z > r_a, 0.0, out)
     return out if out.ndim else float(out)
 
 
-def lj_derivative(z, params: LennardJonesParams, knot: float | None = None):
-    """df/dz of the saturated profile: 0 on the saturated branch.
+def lj_derivative(
+    z, params: LennardJonesParams, knot: float | None = None, r_a: float = math.inf
+):
+    """df/dz of the saturated profile: 0 on the saturated branch and beyond r_a.
 
     At exactly the saturation knot the derivative is undefined; the
     unsaturated branch value is returned there.
@@ -68,6 +72,30 @@ def lj_derivative(z, params: LennardJonesParams, knot: float | None = None):
     c = params.c
     unsat = -2 * c * params.a * z ** (-2 * c - 1) + c * params.b * z ** (-c - 1)
     out = np.where(z < knot, 0.0, unsat)
+    if r_a < math.inf:
+        out = np.where(z > r_a, 0.0, out)
+    return out if out.ndim else float(out)
+
+
+def _lj_antiderivative(z, params: LennardJonesParams):
+    """Antiderivative of the unsaturated branch a*z^(-2c) - b*z^(-c)."""
+    a, b, c = params.a, params.b, params.c
+    return a * z ** (1 - 2 * c) / (1 - 2 * c) - b * z ** (1 - c) / (1 - c)
+
+
+def lj_potential(
+    z, params: LennardJonesParams, knot: float | None = None, r_a: float = math.inf
+):
+    """Closed-form potential: minus the integral of the force from R, constant beyond r_a."""
+    z = _require_positive(z)
+    if knot is None:
+        knot = saturation_knot(params)
+    g_at_r = _lj_antiderivative(params.root, params)
+    p_at_knot = -(_lj_antiderivative(knot, params) - g_at_r)
+    unsat = -(_lj_antiderivative(np.maximum(z, knot), params) - g_at_r)
+    out = np.where(z < knot, p_at_knot + params.saturation * (knot - z), unsat)
+    if r_a < math.inf:
+        out = np.where(z > r_a, -(_lj_antiderivative(r_a, params) - g_at_r), out)
     return out if out.ndim else float(out)
 
 
@@ -102,6 +130,8 @@ class InteractionFunction:
 
     Invariants: force(R) = 0; potential(R) = 0 and potential > 0 elsewhere
     on (0, R_a]; d(potential)/dz = -force where the force is continuous.
+    The callables are module functions bound with functools.partial, so a
+    profile pickles and can be sent to worker processes.
     """
 
     force: Callable
@@ -131,44 +161,11 @@ def saturated_lennard_jones(
     if not (r < r_a):
         raise InvalidInputError("r_a must exceed the force root R")
     knot = saturation_knot(params)
-    a, b, c, sat = params.a, params.b, params.c, params.saturation
-
-    def antideriv(z):
-        # Antiderivative of the unsaturated branch a*z^(-2c) - b*z^(-c).
-        return a * z ** (1 - 2 * c) / (1 - 2 * c) - b * z ** (1 - c) / (1 - c)
-
-    g_at_r = antideriv(r)
-    p_at_knot = -(antideriv(knot) - g_at_r)
-    p_at_ra = -(antideriv(r_a) - g_at_r)
-
-    def force(z):
-        z = _require_positive(z)
-        w = z ** (-c)
-        out = np.minimum(a * w * w - b * w, sat)
-        if truncate:
-            out = np.where(z > r_a, 0.0, out)
-        return out if out.ndim else float(out)
-
-    def derivative(z):
-        z = _require_positive(z)
-        unsat = -2 * c * a * z ** (-2 * c - 1) + c * b * z ** (-c - 1)
-        out = np.where(z < knot, 0.0, unsat)
-        if truncate:
-            out = np.where(z > r_a, 0.0, out)
-        return out if out.ndim else float(out)
-
-    def potential(z):
-        z = _require_positive(z)
-        unsat = -(antideriv(np.maximum(z, knot)) - g_at_r)
-        out = np.where(z < knot, p_at_knot + sat * (knot - z), unsat)
-        if truncate:
-            out = np.where(z > r_a, p_at_ra, out)
-        return out if out.ndim else float(out)
-
+    cutoff = r_a if truncate else math.inf
     return InteractionFunction(
-        force=force,
-        derivative=derivative,
-        potential=potential,
+        force=partial(lj_force, params=params, r_a=cutoff),
+        derivative=partial(lj_derivative, params=params, knot=knot, r_a=cutoff),
+        potential=partial(lj_potential, params=params, knot=knot, r_a=cutoff),
         R=r,
         R_a=r_a,
         params=params,
@@ -176,25 +173,33 @@ def saturated_lennard_jones(
     )
 
 
+def _spring_force(z, r: float):
+    z = _require_positive(z)
+    out = r - z
+    return out if out.ndim else float(out)
+
+
+def _spring_derivative(z):
+    z = _require_positive(z)
+    out = np.full_like(z, -1.0)
+    return out if out.ndim else float(out)
+
+
+def _spring_potential(z, r: float):
+    z = _require_positive(z)
+    out = 0.5 * (z - r) ** 2
+    return out if out.ndim else float(out)
+
+
 def linear_spring(r: float = 1.0, r_a: float = R_A_DEFAULT) -> InteractionFunction:
     """Unsaturated linear profile f(z) = r - z; crosses zero at r but never vanishes."""
-
-    def force(z):
-        z = _require_positive(z)
-        out = r - z
-        return out if out.ndim else float(out)
-
-    def derivative(z):
-        z = _require_positive(z)
-        out = np.full_like(z, -1.0)
-        return out if out.ndim else float(out)
-
-    def potential(z):
-        z = _require_positive(z)
-        out = 0.5 * (z - r) ** 2
-        return out if out.ndim else float(out)
-
-    return InteractionFunction(force=force, derivative=derivative, potential=potential, R=r, R_a=r_a)
+    return InteractionFunction(
+        force=partial(_spring_force, r=r),
+        derivative=_spring_derivative,
+        potential=partial(_spring_potential, r=r),
+        R=r,
+        R_a=r_a,
+    )
 
 
 @dataclass(frozen=True)

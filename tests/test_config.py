@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from triswarm import SimulationParams, SwarmConfig, generate_triangular, LatticeSpec, simulate
+from triswarm import (
+    LatticeSpec,
+    LennardJonesParams,
+    SimulationParams,
+    SwarmConfig,
+    generate_triangular,
+    simulate,
+)
 from triswarm.config import ExperimentConfig, load_config, parse_config_text
 from triswarm.errors import InvalidInputError
 from triswarm.serialize import (
@@ -52,6 +59,11 @@ class TestExperimentConfig:
         assert a.digest() == ExperimentConfig().digest()
         assert a.digest() != b.digest()
 
+    def test_defaults_are_the_library_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.interaction().params == LennardJonesParams()
+        assert cfg.simulation_params() == SimulationParams()
+
     def test_interaction_and_params_roundtrip(self):
         cfg = dataclasses.replace(ExperimentConfig(), truncate=True)
         fn = cfg.interaction()
@@ -78,9 +90,61 @@ class TestConfigFile:
         assert cfg.delta_grid == (0.1, 0.2)
         assert cfg.growth == "accretion"
 
+    def test_every_key(self):
+        text = """
+        interaction.a = 0.25
+        interaction.b = 0.25
+        interaction.c = 6
+        interaction.saturation = 2.5
+        interaction.truncate = on
+        geometry.R = 1.0
+        geometry.R_a = 1.3
+        geometry.R_s = 2.5
+        simulation.dt = 0.02
+        simulation.horizon = 3
+        simulation.record_every = 5
+        experiment.n = 30
+        experiment.delta = 0.1
+        experiment.delta_grid = 0.1, 0.2,0.3,
+        experiment.trials = 4
+        experiment.lattice_seed = 7
+        experiment.perturb_seed = 8
+        experiment.growth = accretion
+        spectrum.n_values = 5, 7
+        spectrum.seeds_per_n = 2
+        output.dir = runs/x
+        """
+        keys = {line.split("=")[0].strip() for line in text.strip().splitlines()}
+        assert keys == {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
+        expected = ExperimentConfig(
+            a=0.25, b=0.25, c=6, saturation=2.5, truncate=True,
+            R=1.0, R_a=1.3, R_s=2.5,
+            dt=0.02, horizon=3.0, record_every=5,
+            n=30, delta=0.1, delta_grid=(0.1, 0.2, 0.3), trials=4,
+            lattice_seed=7, perturb_seed=8, growth="accretion",
+            spectrum_n_values=(5, 7), spectrum_seeds_per_n=2,
+            out_dir="runs/x",
+        )
+        cfg = parse_config_text(text)
+        assert cfg == expected
+        for f in dataclasses.fields(cfg):
+            assert type(getattr(cfg, f.name)) is type(getattr(expected, f.name)), f.name
+        cfg.validate()
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(InvalidInputError, match="line 1"):
             parse_config_text("experiment.bogus = 1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\ninteraction.truncate = maybe", "line 2: bad value for interaction.truncate"),
+            ("\n\nexperiment.trials = 2.5", "line 3: bad value for experiment.trials"),
+        ],
+    )
+    def test_bad_lines_report_line_number(self, text, message):
+        with pytest.raises(InvalidInputError, match=message):
+            parse_config_text(text)
 
     def test_bad_value_reports_key(self):
         with pytest.raises(InvalidInputError, match="experiment.n"):

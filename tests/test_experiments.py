@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from triswarm import (
     SweepSpec,
     convergence_study,
     delta_sweep,
+    experiments,
     is_triangular,
     run_trial,
     trial_seeds,
 )
-from triswarm.errors import InvalidInputError
+from triswarm.errors import DegenerateConfigurationError, IntegrationDivergedError, InvalidInputError
 from triswarm.experiments import CONVERGENCE_E, write_series_csv, write_sweep_csv
 
 FAST_SIM = SimulationParams(horizon=2.0, record_every=20)
@@ -60,6 +63,25 @@ class TestRunTrial:
         assert rec.rigidity_preserved is None
         rec = run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn, track_rigidity=True)
         assert rec.rigidity_preserved is True
+
+    @pytest.mark.parametrize("error", [DegenerateConfigurationError, RuntimeError])
+    def test_only_a_degenerate_final_state_scores_infinite(self, paper_fn, monkeypatch, error):
+        real = experiments.link_error
+        calls = []
+
+        def fails_on_final(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise error("scoring failed")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "link_error", fails_on_final)
+        if error is DegenerateConfigurationError:
+            rec = run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn)
+            assert rec.e_final == float("inf") and not rec.converged
+        else:
+            with pytest.raises(error, match="scoring failed"):
+                run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +164,25 @@ class TestConvergenceStudy:
         assert np.all(study.min <= study.mean + 1e-15)
         assert np.all(study.mean <= study.max + 1e-15)
         assert np.all(study.series[:, 0] <= 2 * 0.15)
+
+    def test_trials_are_run_trial_records(self, paper_fn):
+        delta = 0.2
+        study = convergence_study(10, delta, 3, FAST_SIM, paper_fn, track_rigidity=True)
+        assert study.series.shape == (3, len(study.times))
+        for k, record in enumerate(study.records):
+            seeds = (trial_seeds(0, 0, k)[0], trial_seeds(1, 0, k)[1])
+            alone = run_trial(10, delta, seeds, FAST_SIM, paper_fn, track_rigidity=True)
+            assert record == dataclasses.replace(alone, trial_index=k)
+            assert study.series[k][0] == alone.e_initial
+            assert study.series[k][-1] == alone.e_final
+
+    def test_divergence_is_raised(self, paper_fn, monkeypatch):
+        def diverge(initial, fn, params, observers=()):
+            raise IntegrationDivergedError("diverged at step 1", snapshot=initial, step=1)
+
+        monkeypatch.setattr(experiments, "simulate", diverge)
+        with pytest.raises(IntegrationDivergedError):
+            convergence_study(10, 0.1, 2, FAST_SIM, paper_fn)
 
     def test_series_csv(self, paper_fn, tmp_path):
         study = convergence_study(10, 0.1, 2, FAST_SIM, paper_fn)

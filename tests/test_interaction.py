@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from triswarm import (
     LennardJonesParams,
     lj_derivative,
     lj_force,
+    lj_potential,
     linear_spring,
     saturated_lennard_jones,
     validate_assumption1,
@@ -166,3 +168,30 @@ class TestParamsValidation:
     def test_cutoff_must_exceed_root(self):
         with pytest.raises(InvalidInputError):
             saturated_lennard_jones(r_a=0.9)
+
+
+GRID = np.linspace(0.05, 5.0, 2001)
+PROFILES = {
+    "paper": saturated_lennard_jones(),
+    "truncated": saturated_lennard_jones(truncate=True),
+    "spring": linear_spring(),
+}
+
+
+class TestProfileIsAValue:
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_fields_are_the_module_functions(self, truncate):
+        fn = saturated_lennard_jones(truncate=truncate)
+        r_a = R_A if truncate else math.inf
+        np.testing.assert_array_equal(fn.force(GRID), lj_force(GRID, PARAMS, r_a=r_a))
+        np.testing.assert_array_equal(fn.derivative(GRID), lj_derivative(GRID, PARAMS, r_a=r_a))
+        np.testing.assert_array_equal(fn.potential(GRID), lj_potential(GRID, PARAMS, r_a=r_a))
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_pickle_roundtrip_is_bit_equal(self, name):
+        fn = PROFILES[name]
+        back = pickle.loads(pickle.dumps(fn))
+        assert (back.R, back.R_a, back.params, back.truncated) == (fn.R, fn.R_a, fn.params, fn.truncated)
+        for field in ("force", "derivative", "potential"):
+            np.testing.assert_array_equal(getattr(back, field)(GRID), getattr(fn, field)(GRID))
+            assert getattr(back, field)(1.1) == getattr(fn, field)(1.1)
