@@ -35,10 +35,7 @@ from .dynamics import (
     SimulationParams,
     Trajectory,
     center_drift,
-    control_input,
-    interaction_set,
     simulate,
-    step_euler,
     velocities,
 )
 from .lattice import (

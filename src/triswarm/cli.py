@@ -25,6 +25,7 @@ from .dynamics import center_drift, simulate
 from .errors import (
     IntegrationDivergedError,
     InvalidInputError,
+    SingularityError,
     TriswarmError,
 )
 from .experiments import (
@@ -33,7 +34,7 @@ from .experiments import (
     trial_seeds,
     write_sweep_csv,
 )
-from .graph import compute_links, is_infinitesimally_rigid, numerical_rank, rigidity_matrix, swarm_center
+from .graph import swarm_center
 from .interaction import validate_assumption1
 from .lattice import LatticeSpec, generate_triangular, is_triangular, link_error, perturb
 from .linearization import analyze_configuration
@@ -111,21 +112,21 @@ def cmd_simulate(args) -> int:
         e_final = link_error(final, cfg.R, cfg.R_a)
     except TriswarmError:
         e_final = float("inf")
-    ref = swarm_center(traj.initial)
-    v_series = [
-        lyapunov_value(traj.config(k), ref, fn, cfg.R_a) for k in range(len(traj.times))
-    ]
-    diag_rows = None
     if params.record_every == 1:
         diss = dissipation_check(traj, fn, params)
-        diag_rows = diss.samples
+        v_series = list(diss.values)
         with open(outdir / "diagnostics.csv", "w", newline="") as fh:
             fh.write("t,V,Vdot_analytic,Vdot_numeric,links,links_changed\n")
-            for s in diag_rows:
+            for s in diss.samples:
                 fh.write(
                     f"{fmt(s.t)},{fmt(s.value)},{fmt(s.rate_analytic)},"
                     f"{fmt(s.rate_numeric)},{s.link_count},{int(s.flagged)}\n"
                 )
+    else:
+        ref = swarm_center(traj.initial)
+        v_series = [
+            lyapunov_value(traj.config(k), ref, fn, cfg.R_a) for k in range(len(traj.times))
+        ]
     summary = {
         "e_final": e_final,
         "rigid_final": bool(report.rigid),
@@ -186,8 +187,8 @@ def cmd_spectrum(args) -> int:
             )
             try:
                 report = analyze_configuration(lattice, fn, cfg.R_a)
-            except Exception as exc:
-                print(f"spectrum: eigensolver failed for n={n} seed={seed}: {exc}", file=sys.stderr)
+            except (np.linalg.LinAlgError, SingularityError) as exc:
+                print(f"spectrum: numerical failure for n={n} seed={seed}: {exc}", file=sys.stderr)
                 return EXIT_NUMERICAL
             nonzero = [ev.real for ev, z in zip(report.eigenvalues, np.abs(report.eigenvalues) <= report.tol_zero * np.max(np.abs(report.eigenvalues))) if not z]
             rows.append(
@@ -234,12 +235,10 @@ def cmd_validate(args) -> int:
 def cmd_rigidity(args) -> int:
     cfg = _resolve_config(args)
     config = read_config_csv(args.csv)
-    links = compute_links(config, cfg.R_a)
-    rank = numerical_rank(rigidity_matrix(config, links)) if config.n >= 2 else 0
-    rigid = config.n >= 2 and rank == 2 * config.n - 3
+    report = is_triangular(config, cfg.R, cfg.R_a)
     print(
-        f"n={config.n} links={links.m} rank={rank} required={2 * config.n - 3} "
-        f"infinitesimally_rigid={rigid}"
+        f"n={config.n} links={report.link_count} rank={report.rank} required={2 * config.n - 3} "
+        f"infinitesimally_rigid={report.rigid}"
     )
     return EXIT_OK
 

@@ -13,8 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimulationParams, Trajectory, velocities
-from .graph import SwarmConfig, compute_links, swarm_center
+from .graph import LinkSet, SwarmConfig, compute_links, swarm_center
 from .interaction import InteractionFunction
+
+
+def _energy(
+    config: SwarmConfig, links: LinkSet, reference_center: np.ndarray, fn: InteractionFunction
+) -> float:
+    center_term = float(np.sum((np.asarray(reference_center, float) - swarm_center(config)) ** 2))
+    if links.m == 0:
+        return center_term
+    return center_term + float(np.sum(fn.potential(links.lengths)))
 
 
 def lyapunov_value(
@@ -24,11 +33,7 @@ def lyapunov_value(
     r_a: float,
 ) -> float:
     """Squared center offset plus sum of link potentials (links recomputed here)."""
-    links = compute_links(config, r_a)
-    center_term = float(np.sum((np.asarray(reference_center, float) - swarm_center(config)) ** 2))
-    if links.m == 0:
-        return center_term
-    return center_term + float(np.sum(fn.potential(links.lengths)))
+    return _energy(config, compute_links(config, r_a), reference_center, fn)
 
 
 def lyapunov_rate(config: SwarmConfig, fn: InteractionFunction, r_s: float) -> float:
@@ -51,6 +56,7 @@ class LyapunovSample:
 @dataclass(frozen=True)
 class DissipationReport:
     samples: tuple[LyapunovSample, ...]
+    values: tuple[float, ...]  # energy at every recorded step, the last one included
     tol: float
     agreement_fraction: float  # over unflagged samples
     flagged_count: int
@@ -77,8 +83,8 @@ def dissipation_check(
     link_counts = []
     for k in range(n_rec):
         cfg = traj.config(k)
-        values[k] = lyapunov_value(cfg, ref, fn, params.R_a)
         links = compute_links(cfg, params.R_a)
+        values[k] = _energy(cfg, links, ref, fn)
         link_keys.append(links.pairs.tobytes())
         link_counts.append(links.m)
     samples = []
@@ -108,6 +114,7 @@ def dissipation_check(
     fraction = agree / unflagged if unflagged else 1.0
     return DissipationReport(
         samples=tuple(samples),
+        values=tuple(values.tolist()),
         tol=tol,
         agreement_fraction=fraction,
         flagged_count=sum(s.flagged for s in samples),

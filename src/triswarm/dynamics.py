@@ -8,12 +8,12 @@ pairwise forces and hence the invariance of the swarm center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrationDivergedError, InvalidInputError
-from .graph import SwarmConfig, swarm_center
+from .graph import SwarmConfig
 from .interaction import R_A_DEFAULT, InteractionFunction
 
 COINCIDENCE_EPS = 1e-12
@@ -71,15 +71,6 @@ class Trajectory:
         return self.config(len(self.times) - 1)
 
 
-def interaction_set(i: int, config: SwarmConfig, r_s: float) -> np.ndarray:
-    """Indices of all agents within sensing radius of agent i."""
-    if r_s <= 0:
-        raise InvalidInputError("r_s must be positive")
-    d = np.linalg.norm(config.positions - config.positions[i], axis=1)
-    d[i] = np.inf
-    return np.flatnonzero(d <= r_s)
-
-
 def velocities(
     positions: np.ndarray,
     fn: InteractionFunction,
@@ -105,32 +96,6 @@ def velocities(
     weights[mask] = fn.force(z) / z
     u = np.einsum("ij,ijk->ik", weights, diff)
     return u, warn
-
-
-def control_input(
-    i: int,
-    config: SwarmConfig,
-    fn: InteractionFunction,
-    r_s: float,
-    coincident_policy: str = "zero",
-) -> np.ndarray:
-    """Virtual-force control input of a single agent."""
-    u, _ = velocities(config.positions, fn, r_s, coincident_policy)
-    return u[i]
-
-
-def step_euler(
-    config: SwarmConfig,
-    fn: InteractionFunction,
-    params: SimulationParams,
-    coincident_policy: str = "zero",
-) -> SwarmConfig:
-    """One synchronous forward-Euler step."""
-    u, _ = velocities(config.positions, fn, params.R_s, coincident_policy)
-    new = config.positions + params.dt * u
-    if not np.all(np.isfinite(new)):
-        raise IntegrationDivergedError("non-finite state after Euler step", snapshot=config)
-    return SwarmConfig(new)
 
 
 def simulate(

@@ -27,7 +27,7 @@ class IntegrationDivergedError(TriswarmError):
 
 
 class GenerationError(TriswarmError):
-    """Lattice generator failed verification after all retries."""
+    """A generated lattice failed its rigidity and link-length verification."""
 
 
 class SingularityError(TriswarmError):

@@ -6,7 +6,7 @@ rank-based infinitesimal rigidity test, congruence test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,13 +102,13 @@ def rigidity_matrix(config: SwarmConfig, links: LinkSet) -> np.ndarray:
     """
     if config.n < 2:
         raise InvalidInputError("rigidity matrix requires n >= 2")
-    m = np.zeros((links.m, 2 * config.n))
-    pos = config.positions
-    for e, (i, j) in enumerate(links.pairs):
-        d = pos[i] - pos[j]
-        m[e, 2 * i : 2 * i + 2] = d
-        m[e, 2 * j : 2 * j + 2] = -d
-    return m
+    i, j = links.pairs.T
+    d = config.positions[i] - config.positions[j]
+    rows = np.arange(links.m)
+    m = np.zeros((links.m, config.n, 2))
+    m[rows, i] = d
+    m[rows, j] = -d
+    return m.reshape(links.m, 2 * config.n)
 
 
 def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:

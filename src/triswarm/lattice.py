@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, GenerationError, InvalidInputError
-from .graph import (
-    RANK_TOL,
-    LinkSet,
-    SwarmConfig,
-    compute_links,
-    is_infinitesimally_rigid,
-    numerical_rank,
-    rigidity_matrix,
-)
+from .graph import RANK_TOL, SwarmConfig, compute_links, numerical_rank, rigidity_matrix
 
 AXIAL_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
@@ -93,22 +85,20 @@ def _grow_sites(
     return order
 
 
-def generate_triangular(spec: LatticeSpec, r_a: float, max_retries: int = 50) -> SwarmConfig:
+def generate_triangular(spec: LatticeSpec, r_a: float) -> SwarmConfig:
     """Seeded random triangular configuration with all links of length R.
 
-    The result is verified (exact link lengths and infinitesimal rigidity)
-    before returning; verification failure triggers a fresh draw.
+    Accretion pins every new site by two unit links, so each draw is rigid;
+    the result is still verified (exact link lengths and infinitesimal
+    rigidity) before returning.
     """
     if not (spec.R < r_a < spec.R * math.sqrt(3.0)):
         raise InvalidInputError("r_a must lie strictly between R and R*sqrt(3)")
-    rng = np.random.default_rng(spec.seed)
-    for _ in range(max_retries):
-        sites = _grow_sites(spec.n, rng, spec.growth)
-        config = SwarmConfig(_axial_to_plane(sites, spec.R))
-        report = is_triangular(config, spec.R, r_a)
-        if report.ok:
-            return config
-    raise GenerationError(f"no rigid lattice after {max_retries} draws (n={spec.n})")
+    sites = _grow_sites(spec.n, np.random.default_rng(spec.seed), spec.growth)
+    config = SwarmConfig(_axial_to_plane(sites, spec.R))
+    if not is_triangular(config, spec.R, r_a).ok:
+        raise GenerationError(f"generated lattice failed verification (n={spec.n}, seed={spec.seed})")
+    return config
 
 
 def perturb(config: SwarmConfig, delta: float, seed: int) -> SwarmConfig:

@@ -18,32 +18,47 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError, SingularityError
-from .graph import SwarmConfig, compute_links, rigidity_matrix, swarm_center
+from .graph import LinkSet, SwarmConfig, compute_links, rigidity_matrix, swarm_center
 from .interaction import InteractionFunction
 
 ZERO_TOL = 1e-8
 
 
-def jacobian(config: SwarmConfig, fn: InteractionFunction, radius: float) -> np.ndarray:
-    """2n x 2n Jacobian of the stacked force field with interaction cutoff `radius`."""
-    n = config.n
+def _links(config: SwarmConfig, radius: float) -> LinkSet:
     links = compute_links(config, radius)
     if links.m and links.lengths.min() < 1e-14:
         raise SingularityError("zero-length link")
-    j = np.zeros((2 * n, 2 * n))
-    pos = config.positions
-    f = np.asarray(fn.force(links.lengths), dtype=float) if links.m else np.empty(0)
-    fp = np.asarray(fn.derivative(links.lengths), dtype=float) if links.m else np.empty(0)
-    for e, (a, b) in enumerate(links.pairs):
-        z = links.lengths[e]
-        r = pos[a] - pos[b]
-        block = (f[e] / z) * np.eye(2) + ((fp[e] * z - f[e]) / z**3) * np.outer(r, r)
-        sa, sb = 2 * a, 2 * b
-        j[sa : sa + 2, sa : sa + 2] += block
-        j[sb : sb + 2, sb : sb + 2] += block
-        j[sa : sa + 2, sb : sb + 2] -= block
-        j[sb : sb + 2, sa : sa + 2] -= block
-    return j
+    return links
+
+
+def _assemble(n: int, links: LinkSet, blocks: np.ndarray) -> np.ndarray:
+    """2n x 2n matrix with +A_ij on the diagonal blocks (i, i), (j, j) and -A_ij off it.
+
+    Listing each link's second agent before its first makes the sequential
+    add.at sum every diagonal block in ascending partner order, the order
+    in which a loop over the lexicographic link list adds them; the result
+    is then bit-equal to such a loop.
+    """
+    j = np.zeros((n, 2, n, 2))
+    a, b = links.pairs.T
+    ends = np.concatenate([b, a])
+    np.add.at(j, (ends, slice(None), ends, slice(None)), np.concatenate([blocks, blocks]))
+    j[a, :, b, :] -= blocks
+    j[b, :, a, :] -= blocks
+    return j.reshape(2 * n, 2 * n)
+
+
+def jacobian(config: SwarmConfig, fn: InteractionFunction, radius: float) -> np.ndarray:
+    """2n x 2n Jacobian of the stacked force field with interaction cutoff `radius`."""
+    links = _links(config, radius)
+    z = links.lengths
+    f = np.asarray(fn.force(z), dtype=float)
+    fp = np.asarray(fn.derivative(z), dtype=float)
+    r = config.positions[links.pairs[:, 0]] - config.positions[links.pairs[:, 1]]
+    # float_power rounds like a scalar z**3; the array z**3 differs in the last bit for some z
+    c = (fp * z - f) / np.float_power(z, 3)
+    blocks = (f / z)[:, None, None] * np.eye(2) + c[:, None, None] * (r[:, :, None] * r[:, None, :])
+    return _assemble(config.n, links, blocks)
 
 
 def laplacian_term(config: SwarmConfig, fn: InteractionFunction, radius: float) -> np.ndarray:
@@ -52,20 +67,9 @@ def laplacian_term(config: SwarmConfig, fn: InteractionFunction, radius: float) 
     Exactly the zero matrix on any configuration whose links all sit at the
     force root, since the weights are f(z)/z.
     """
-    n = config.n
-    links = compute_links(config, radius)
-    if links.m and links.lengths.min() < 1e-14:
-        raise SingularityError("zero-length link")
-    j = np.zeros((2 * n, 2 * n))
-    f = np.asarray(fn.force(links.lengths), dtype=float) if links.m else np.empty(0)
-    for e, (a, b) in enumerate(links.pairs):
-        block = (f[e] / links.lengths[e]) * np.eye(2)
-        sa, sb = 2 * a, 2 * b
-        j[sa : sa + 2, sa : sa + 2] += block
-        j[sb : sb + 2, sb : sb + 2] += block
-        j[sa : sa + 2, sb : sb + 2] -= block
-        j[sb : sb + 2, sa : sa + 2] -= block
-    return j
+    links = _links(config, radius)
+    h = np.asarray(fn.force(links.lengths), dtype=float) / links.lengths
+    return _assemble(config.n, links, h[:, None, None] * np.eye(2))
 
 
 def rigid_motion_basis(config: SwarmConfig) -> np.ndarray:
@@ -115,10 +119,7 @@ def spectral_analysis(
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
         raise InvalidInputError("Jacobian must be square with even dimension")
-    try:
-        eigvals, eigvecs = scipy.linalg.eig(j)
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
-        raise RuntimeError(f"eigenvalue routine failed: {exc}") from exc
+    eigvals, eigvecs = scipy.linalg.eig(j)
     order = np.argsort(-eigvals.real, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

@@ -58,3 +58,46 @@ def svd_rank(matrix, tol=1e-8):
     if sv[0] == 0.0:
         return 0
     return int(np.sum(sv / sv[0] > tol))
+
+
+def loop_rigidity_matrix(positions, pairs):
+    """Rigidity matrix built one link at a time."""
+    n = len(positions)
+    m = np.zeros((len(pairs), 2 * n))
+    for e, (i, j) in enumerate(pairs):
+        d = positions[i] - positions[j]
+        m[e, 2 * i : 2 * i + 2] = d
+        m[e, 2 * j : 2 * j + 2] = -d
+    return m
+
+
+def _loop_assemble(n, pairs, block_of):
+    j = np.zeros((2 * n, 2 * n))
+    for e, (a, b) in enumerate(pairs):
+        block = block_of(e, a, b)
+        sa, sb = 2 * a, 2 * b
+        j[sa : sa + 2, sa : sa + 2] += block
+        j[sb : sb + 2, sb : sb + 2] += block
+        j[sa : sa + 2, sb : sb + 2] -= block
+        j[sb : sb + 2, sa : sa + 2] -= block
+    return j
+
+
+def loop_jacobian(positions, pairs, lengths, fn):
+    """Closed-loop Jacobian built one link at a time from the 2x2 blocks
+    A = h(z) I + (f'(z) z - f(z)) / z^3 r r^T."""
+    f = np.asarray(fn.force(lengths), dtype=float)
+    fp = np.asarray(fn.derivative(lengths), dtype=float)
+
+    def block(e, a, b):
+        z = lengths[e]
+        r = positions[a] - positions[b]
+        return (f[e] / z) * np.eye(2) + ((fp[e] * z - f[e]) / z**3) * np.outer(r, r)
+
+    return _loop_assemble(len(positions), pairs, block)
+
+
+def loop_laplacian_term(positions, pairs, lengths, fn):
+    """The h(z) I part of loop_jacobian."""
+    f = np.asarray(fn.force(lengths), dtype=float)
+    return _loop_assemble(len(positions), pairs, lambda e, a, b: (f[e] / lengths[e]) * np.eye(2))

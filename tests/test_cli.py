@@ -1,11 +1,14 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import triswarm.graph
 from triswarm import LatticeSpec, SwarmConfig, generate_triangular
 from triswarm.cli import main
+from triswarm.errors import SingularityError
 from triswarm.serialize import write_config_csv
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
@@ -45,6 +48,29 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["e_final"] <= 1e-12
         assert (out / "diagnostics.csv").exists()  # stride-1 run emits diagnostics
+
+    def test_one_link_pass_per_recorded_state(self, tmp_path, monkeypatch):
+        original = triswarm.graph.compute_links
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("triswarm") and getattr(module, "compute_links", None) is original:
+                monkeypatch.setattr(module, "compute_links", counted)
+        out = tmp_path / "counted"
+        code = run(
+            [
+                "simulate", "--n", "25", "--delta", "0.2", "--horizon", "0.5",
+                "--record-every", "1", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        states = len(json.loads((out / "summary.json").read_text())["V_series"])
+        assert states == 51
+        assert len(calls) <= states + 3
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(["simulate", "--config", str(tmp_path / "nope.cfg")])
@@ -102,6 +128,24 @@ class TestSpectrum:
         assert all(r[2] == "3" for r in rows)  # zero_count
         n3 = [r for r in rows if r[0] == "3"]
         assert all(r[3] == "3" for r in n3)  # 2n-3 at n=3
+
+    @staticmethod
+    def run_with_failing_analysis(tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr("triswarm.cli.analyze_configuration", fail)
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("spectrum.n_values = 3\nspectrum.seeds_per_n = 1\n")
+        return run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, SingularityError])
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, error):
+        assert self.run_with_failing_analysis(tmp_path, monkeypatch, error) == 3
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        with pytest.raises(KeyError):
+            self.run_with_failing_analysis(tmp_path, monkeypatch, KeyError)
 
     def test_too_few_agents_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -107,3 +107,13 @@ class TestDissipationCheck:
         traj = simulate(lattice25, truncated_fn, params)
         report = dissipation_check(traj, truncated_fn, params)
         assert all(s.link_count > 0 for s in report.samples)
+
+    def test_values_are_the_energy_of_every_recorded_state(self, lattice25, paper_fn):
+        params = SimulationParams(horizon=0.3, record_every=1)
+        traj = simulate(perturb(lattice25, 0.2, 4), paper_fn, params)
+        report = dissipation_check(traj, paper_fn, params)
+        ref = swarm_center(traj.initial)
+        assert len(report.values) == len(traj.times)
+        for k, value in enumerate(report.values):
+            assert value == lyapunov_value(traj.config(k), ref, paper_fn, R_A)
+        assert list(report.values[:-1]) == [s.value for s in report.samples]

@@ -7,10 +7,8 @@ from triswarm import (
     SimulationParams,
     SwarmConfig,
     center_drift,
-    control_input,
-    interaction_set,
+    compute_links,
     simulate,
-    step_euler,
     velocities,
 )
 from triswarm.errors import DomainError, IntegrationDivergedError, InvalidInputError
@@ -43,42 +41,50 @@ class TestParams:
             SimulationParams(**kwargs)
 
 
+def one_step(config, fn):
+    """One synchronous forward-Euler step: the final state of a one-step run."""
+    return simulate(config, fn, SimulationParams(horizon=SimulationParams().dt)).final
+
+
 class TestInteractionSet:
-    def test_within_sensing_radius(self):
-        assert list(interaction_set(0, pair(2.5), 3.0)) == [1]
-        assert list(interaction_set(1, pair(2.5), 3.0)) == [0]
+    def test_within_sensing_radius(self, paper_fn):
+        np.testing.assert_array_equal(compute_links(pair(2.5), 3.0).pairs, [[0, 1]])
+        u, _ = velocities(pair(2.5).positions, paper_fn, 3.0)
+        assert u[0, 0] > 0.0 and u[1, 0] < 0.0  # the weak tail pulls them together
 
-    def test_beyond_sensing_radius(self):
-        assert interaction_set(0, pair(4.0), 3.0).size == 0
+    def test_beyond_sensing_radius(self, paper_fn):
+        assert compute_links(pair(4.0), 3.0).m == 0
+        u, _ = velocities(pair(4.0).positions, paper_fn, 3.0)
+        np.testing.assert_array_equal(u, 0.0)
 
-    def test_lattice_sensing_exceeds_adjacency(self, lattice100):
-        from triswarm import compute_links
+    def test_lattice_sensing_exceeds_adjacency(self, lattice100, paper_fn):
+        def partners_of_0(links):
+            return set(links.pairs[links.pairs[:, 0] == 0][:, 1]) | set(
+                links.pairs[links.pairs[:, 1] == 0][:, 0]
+            )
 
-        adjacency = compute_links(lattice100, R_A)
-        adj0 = set(adjacency.pairs[adjacency.pairs[:, 0] == 0][:, 1]) | set(
-            adjacency.pairs[adjacency.pairs[:, 1] == 0][:, 0]
-        )
-        sensed0 = set(interaction_set(0, lattice100, 3.0))
+        adj0 = partners_of_0(compute_links(lattice100, R_A))
+        sensed0 = partners_of_0(compute_links(lattice100, 3.0))
         assert adj0 < sensed0  # second/third shells at sqrt(3) and 2 are sensed
+        u_adjacent, _ = velocities(lattice100.positions, paper_fn, R_A)
+        u_sensed, _ = velocities(lattice100.positions, paper_fn, 3.0)
+        assert not np.array_equal(u_adjacent[0], u_sensed[0])
 
 
 class TestControlInput:
     def test_zero_at_desired_distance(self, paper_fn):
-        cfg = pair(1.0)
-        for i in (0, 1):
-            np.testing.assert_array_equal(control_input(i, cfg, paper_fn, 3.0), [0.0, 0.0])
+        u, _ = velocities(pair(1.0).positions, paper_fn, 3.0)
+        np.testing.assert_array_equal(u, 0.0)
 
     def test_repulsion_below_root(self, paper_fn):
-        cfg = pair(0.8)
-        u0 = control_input(0, cfg, paper_fn, 3.0)
-        u1 = control_input(1, cfg, paper_fn, 3.0)
-        assert u0[0] < 0.0 and u1[0] > 0.0  # pushed apart along the joining line
+        u, _ = velocities(pair(0.8).positions, paper_fn, 3.0)
+        assert u[0][0] < 0.0 and u[1][0] > 0.0  # pushed apart along the joining line
 
     def test_hexagon_center_cancels(self, paper_fn):
         angles = np.arange(6) * math.pi / 3.0
         ring = np.column_stack([np.cos(angles), np.sin(angles)])
-        cfg = SwarmConfig(np.vstack([[0.0, 0.0], ring]))
-        assert np.linalg.norm(control_input(0, cfg, paper_fn, 3.0)) <= 1e-15
+        u, _ = velocities(np.vstack([[0.0, 0.0], ring]), paper_fn, 3.0)
+        assert np.linalg.norm(u[0]) <= 1e-15
 
     def test_coincident_policy(self, paper_fn):
         cfg = SwarmConfig(np.zeros((2, 2)))
@@ -103,18 +109,18 @@ class TestControlInput:
 
 class TestStepEuler:
     def test_lattice_is_fixed_point(self, lattice100, truncated_fn):
-        after = step_euler(lattice100, truncated_fn, SimulationParams())
+        after = one_step(lattice100, truncated_fn)
         np.testing.assert_array_equal(after.positions, lattice100.positions)
 
     def test_saturated_pair_separates(self, paper_fn):
-        after = step_euler(pair(0.5), paper_fn, SimulationParams())
+        after = one_step(pair(0.5), paper_fn)
         # f(0.5) saturates at 1, so each agent moves dt along the joining line
         np.testing.assert_allclose(after.positions[0], [-0.01, 0.0], atol=1e-15)
         np.testing.assert_allclose(after.positions[1], [0.51, 0.0], atol=1e-15)
 
     def test_single_agent_unchanged(self, paper_fn):
         cfg = SwarmConfig(np.array([[2.0, 3.0]]))
-        after = step_euler(cfg, paper_fn, SimulationParams())
+        after = one_step(cfg, paper_fn)
         np.testing.assert_array_equal(after.positions, cfg.positions)
 
 

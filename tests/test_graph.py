@@ -7,19 +7,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from triswarm import (
+    LatticeSpec,
     LinkSet,
     SwarmConfig,
     are_congruent,
     compute_links,
+    generate_triangular,
     incidence_matrix,
     is_infinitesimally_rigid,
     numerical_rank,
+    perturb,
     rigidity_matrix,
     swarm_center,
 )
 from triswarm.errors import InvalidInputError
 
-from .oracles import svd_rank
+from .oracles import loop_rigidity_matrix, svd_rank
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
@@ -126,6 +129,22 @@ class TestRigidityMatrix:
         rot = np.column_stack([-centered[:, 1], centered[:, 0]]).reshape(-1)
         for u in (tx, ty, rot):
             assert np.linalg.norm(m @ u) <= 1e-10 * scale * np.linalg.norm(u)
+
+
+    @pytest.mark.parametrize("n", [3, 25, 100])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5])
+    def test_equals_per_link_loop(self, n, delta):
+        cfg = perturb(generate_triangular(LatticeSpec(n=n, seed=n), R_A), delta, 5)
+        for radius in (R_A, 3.0):
+            links = compute_links(cfg, radius)
+            m = rigidity_matrix(cfg, links)
+            assert np.array_equal(m, loop_rigidity_matrix(cfg.positions, links.pairs))
+
+    def test_no_links(self):
+        cfg = SwarmConfig(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
+        m = rigidity_matrix(cfg, compute_links(cfg, R_A))
+        assert m.shape == (0, 6)
+        assert np.array_equal(m, loop_rigidity_matrix(cfg.positions, np.empty((0, 2), int)))
 
 
 class TestNumericalRank:

@@ -15,12 +15,29 @@ from triswarm import (
     link_error,
     perturb,
 )
-from triswarm.errors import DegenerateConfigurationError, InvalidInputError
+from triswarm.errors import DegenerateConfigurationError, GenerationError, InvalidInputError
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
 
 class TestGenerate:
+    def test_failed_verification_raises_after_one_draw(self, monkeypatch):
+        import triswarm.lattice as lattice_module
+
+        calls = []
+
+        def failing(config, r, r_a, **kwargs):
+            calls.append(config)
+            return lattice_module.TriangularityReport(
+                ok=False, rigid=False, rank=0, max_length_deviation=math.inf,
+                link_count=0, tol_len=1e-6, tol_rank=1e-8,
+            )
+
+        monkeypatch.setattr(lattice_module, "is_triangular", failing)
+        with pytest.raises(GenerationError, match=r"n=12, seed=5"):
+            generate_triangular(LatticeSpec(n=12, seed=5), R_A)
+        assert len(calls) == 1
+
     def test_three_agents_is_equilateral(self):
         cfg = generate_triangular(LatticeSpec(n=3, seed=4), R_A)
         d = sorted(

@@ -21,7 +21,7 @@ from triswarm import (
 from triswarm.errors import InvalidInputError, SingularityError
 from triswarm.interaction import saturation_knot
 
-from .oracles import finite_difference_jacobian
+from .oracles import finite_difference_jacobian, loop_jacobian, loop_laplacian_term
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
@@ -68,6 +68,32 @@ class TestJacobianAssembly:
         cfg = SwarmConfig(np.zeros((2, 2)))
         with pytest.raises(SingularityError):
             jacobian(cfg, paper_fn, R_A)
+
+    def test_laplacian_term_rejects_zero_length_link(self, paper_fn):
+        with pytest.raises(SingularityError):
+            laplacian_term(SwarmConfig(np.zeros((2, 2))), paper_fn, R_A)
+
+    @pytest.mark.parametrize("profile", ["paper_fn", "truncated_fn"])
+    @pytest.mark.parametrize("n", [3, 25, 100])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5])
+    def test_equals_per_link_loop(self, request, profile, n, delta):
+        fn = request.getfixturevalue(profile)
+        cfg = perturb(generate_triangular(LatticeSpec(n=n, seed=n), R_A), delta, 5)
+        links = compute_links(cfg, R_A)
+        args = (cfg.positions, links.pairs, links.lengths, fn)
+        assert np.array_equal(jacobian(cfg, fn, R_A), loop_jacobian(*args))
+        assert np.array_equal(laplacian_term(cfg, fn, R_A), loop_laplacian_term(*args))
+
+    @pytest.mark.parametrize("profile", ["paper_fn", "truncated_fn"])
+    def test_no_links_gives_zero_matrix(self, request, profile):
+        fn = request.getfixturevalue(profile)
+        cfg = SwarmConfig(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
+        links = compute_links(cfg, R_A)
+        args = (cfg.positions, links.pairs, links.lengths, fn)
+        for assembled, loop in ((jacobian, loop_jacobian), (laplacian_term, loop_laplacian_term)):
+            j = assembled(cfg, fn, R_A)
+            assert np.array_equal(j, np.zeros((6, 6)))
+            assert np.array_equal(j, loop(*args))
 
     def test_laplacian_term_tiny_at_lattices(self, paper_fn, lattice25):
         # measured link lengths sit within one ulp of the root, so the term
