@@ -22,12 +22,7 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .diagnostics import dissipation_check, lyapunov_value
 from .dynamics import center_drift, simulate
-from .errors import (
-    IntegrationDivergedError,
-    InvalidInputError,
-    SingularityError,
-    TriswarmError,
-)
+from .errors import IntegrationDivergedError, InvalidInputError, SingularityError
 from .experiments import (
     SweepSpec,
     delta_sweep,
@@ -36,7 +31,7 @@ from .experiments import (
 )
 from .graph import swarm_center
 from .interaction import validate_assumption1
-from .lattice import LatticeSpec, generate_triangular, is_triangular, link_error, perturb
+from .lattice import LatticeSpec, generate_triangular, is_triangular, perturb
 from .linearization import analyze_configuration
 from .serialize import fmt, read_config_csv, write_json, write_trajectory_csv
 
@@ -108,10 +103,7 @@ def cmd_simulate(args) -> int:
 
     final = traj.final
     report = is_triangular(final, cfg.R, cfg.R_a, tol_len=1e-3)
-    try:
-        e_final = link_error(final, cfg.R, cfg.R_a)
-    except TriswarmError:
-        e_final = float("inf")
+    e_final = report.max_length_deviation
     if params.record_every == 1:
         diss = dissipation_check(traj, fn, params)
         v_series = list(diss.values)
@@ -177,9 +169,6 @@ def cmd_spectrum(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in cfg.spectrum_n_values:
-        if n < 3:
-            print(f"spectrum: n={n} rejected (triangular lattice requires n >= 3)", file=sys.stderr)
-            return EXIT_CONFIG
         for si in range(cfg.spectrum_seeds_per_n):
             seed, _ = trial_seeds(cfg.lattice_seed, n, si)
             lattice = generate_triangular(
@@ -190,7 +179,6 @@ def cmd_spectrum(args) -> int:
             except (np.linalg.LinAlgError, SingularityError) as exc:
                 print(f"spectrum: numerical failure for n={n} seed={seed}: {exc}", file=sys.stderr)
                 return EXIT_NUMERICAL
-            nonzero = [ev.real for ev, z in zip(report.eigenvalues, np.abs(report.eigenvalues) <= report.tol_zero * np.max(np.abs(report.eigenvalues))) if not z]
             rows.append(
                 {
                     "n": n,
@@ -199,7 +187,7 @@ def cmd_spectrum(args) -> int:
                     "negative_count": report.negative_count,
                     "kernel_aligned": report.kernel_aligned,
                     "max_kernel_residual": report.max_kernel_residual,
-                    "max_real_nonzero_eig": max(nonzero) if nonzero else float("nan"),
+                    "max_real_nonzero_eig": report.max_real_nonzero_eig,
                 }
             )
     with open(outdir / "spectrum_summary.csv", "w", newline="") as fh:

@@ -77,6 +77,12 @@ class ExperimentConfig:
             raise InvalidInputError("perturbation radii must be non-negative")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
+        if not self.spectrum_n_values or min(self.spectrum_n_values) < 3:
+            raise InvalidInputError(
+                "spectrum.n_values must be non-empty, each n >= 3 (smallest triangular lattice)"
+            )
+        if self.spectrum_seeds_per_n < 1:
+            raise InvalidInputError("spectrum.seeds_per_n must be >= 1")
         if self.growth not in GROWTH_POLICIES:
             raise InvalidInputError(
                 f"unknown growth policy {self.growth!r}; choose from {sorted(GROWTH_POLICIES)}"

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimulationParams, Trajectory, velocities
+from .errors import InvalidInputError
 from .graph import LinkSet, SwarmConfig, compute_links, swarm_center
 from .interaction import InteractionFunction
 
@@ -75,7 +76,7 @@ def dissipation_check(
     is only differentiable while the link set is constant).
     """
     if params.record_every != 1:
-        raise ValueError("dissipation check requires record_every == 1")
+        raise InvalidInputError("dissipation check requires record_every == 1")
     ref = swarm_center(traj.initial)
     n_rec = len(traj.times)
     values = np.empty(n_rec)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SimulationParams, simulate
-from .errors import DegenerateConfigurationError, IntegrationDivergedError, InvalidInputError
+from .errors import IntegrationDivergedError, InvalidInputError
 from .graph import SwarmConfig, compute_links, is_infinitesimally_rigid
 from .interaction import InteractionFunction
 from .lattice import LatticeSpec, generate_triangular, is_triangular, link_error, perturb
@@ -121,10 +121,7 @@ def run_trial(
         diverged = True
         final = exc.snapshot
     report = is_triangular(final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)
-    try:
-        e_final = link_error(final, sim.R, sim.R_a)
-    except DegenerateConfigurationError:
-        e_final = float("inf")
+    e_final = report.max_length_deviation  # inf when no links remain
     rigid = report.rigid
     converged = (not diverged) and rigid and e_final <= CONVERGENCE_E
     return TrialRecord(

@@ -40,13 +40,15 @@ def read_config_csv(path) -> SwarmConfig:
 
 
 def write_trajectory_csv(traj, path) -> None:
-    """One row per (recorded time, agent): t, agent, x, y."""
+    """One row per (recorded time, agent): t, agent, x, y.
+
+    The bytes are those of a csv.writer, which ends every row with CRLF.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "agent", "x", "y"])
+        fh.write("t,agent,x,y\r\n")
         for t, state in zip(traj.times, traj.states):
-            for i, (x, y) in enumerate(state):
-                writer.writerow([fmt(t), i, fmt(x), fmt(y)])
+            ts = fmt(t)
+            fh.write("".join(f"{ts},{i},{x:.17g},{y:.17g}\r\n" for i, (x, y) in enumerate(state.tolist())))
 
 
 def config_to_json(config: SwarmConfig) -> str:

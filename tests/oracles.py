@@ -2,10 +2,15 @@
 
 These deliberately avoid the library's own code paths: quadrature instead
 of the closed-form potential, central differences instead of the assembled
-Jacobian, and numpy's rank instead of the thresholded SVD counter.
+Jacobian, and numpy's rank instead of the thresholded SVD counter.  The
+loop and general-eigensolve references reproduce earlier implementations
+that the library's vectorised paths must agree with.
 """
 
+import csv
+
 import numpy as np
+import scipy.linalg
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=50):
@@ -101,3 +106,65 @@ def loop_laplacian_term(positions, pairs, lengths, fn):
     """The h(z) I part of loop_jacobian."""
     f = np.asarray(fn.force(lengths), dtype=float)
     return _loop_assemble(len(positions), pairs, lambda e, a, b: (f[e] / lengths[e]) * np.eye(2))
+
+
+def eig_spectral_analysis(j, rigidity, tol_zero=1e-8):
+    """Spectrum classification from the general (complex) eigensolve, one eigenvector at a time.
+
+    Returns a dict with the eigenvalues sorted by real part (descending), the
+    zero/negative/unclassified counts, kernel_aligned, max_kernel_residual and
+    max_real_nonzero_eig.
+    """
+    eigvals, eigvecs = scipy.linalg.eig(np.asarray(j, dtype=float))
+    order = np.argsort(-eigvals.real, kind="stable")
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    thresh = tol_zero * float(np.max(np.abs(eigvals), initial=0.0))
+    is_zero = np.abs(eigvals) <= thresh
+    is_negative = eigvals.real < -thresh
+    m_norm = float(np.linalg.norm(rigidity, 2)) if rigidity.size else 1.0
+    m_scale = m_norm if m_norm > 0 else 1.0
+
+    def residual(vec):
+        if rigidity.size == 0:
+            return 0.0
+        return float(np.linalg.norm(rigidity @ vec) / (m_scale * np.linalg.norm(vec)))
+
+    max_res = 0.0
+    aligned = True
+    for k in range(len(eigvals)):
+        vec = eigvecs[:, k]
+        if is_zero[k]:
+            res = residual(vec)
+            max_res = max(max_res, res)
+            if res > tol_zero:
+                aligned = False
+        elif is_negative[k]:
+            if residual(vec) <= tol_zero:
+                aligned = False
+    nonzero = [ev.real for ev, z in zip(eigvals, is_zero) if not z]
+    zero_count = int(np.count_nonzero(is_zero))
+    negative_count = int(np.count_nonzero(is_negative))
+    return {
+        "eigenvalues": eigvals,
+        "zero_count": zero_count,
+        "negative_count": negative_count,
+        "unclassified_count": len(eigvals) - zero_count - negative_count,
+        "kernel_aligned": aligned,
+        "max_kernel_residual": max_res,
+        "max_real_nonzero_eig": max(nonzero) if nonzero else float("nan"),
+    }
+
+
+def csv_write_trajectory(traj, path):
+    """trajectory.csv written one csv.writer row at a time."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "agent", "x", "y"])
+        for t, state in zip(traj.times, traj.states):
+            for i, (x, y) in enumerate(state):
+                writer.writerow([fmt(t), i, fmt(x), fmt(y)])

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 
 import triswarm.graph
-from triswarm import LatticeSpec, SwarmConfig, generate_triangular
+from triswarm import (
+    LatticeSpec,
+    SwarmConfig,
+    compute_links,
+    generate_triangular,
+    jacobian,
+    rigidity_matrix,
+    saturated_lennard_jones,
+)
 from triswarm.cli import main
 from triswarm.errors import SingularityError
 from triswarm.serialize import write_config_csv
+
+from .oracles import eig_spectral_analysis
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
@@ -128,6 +138,14 @@ class TestSpectrum:
         assert all(r[2] == "3" for r in rows)  # zero_count
         n3 = [r for r in rows if r[0] == "3"]
         assert all(r[3] == "3" for r in n3)  # 2n-3 at n=3
+        fn = saturated_lennard_jones()
+        for r in rows:
+            lattice = generate_triangular(LatticeSpec(n=int(r[0]), seed=int(r[1]), growth="compact"), R_A)
+            ref = eig_spectral_analysis(
+                jacobian(lattice, fn, R_A), rigidity_matrix(lattice, compute_links(lattice, R_A))
+            )
+            rho = np.abs(ref["eigenvalues"]).max()
+            assert abs(float(r[6]) - ref["max_real_nonzero_eig"]) <= 1e-12 * rho
 
     @staticmethod
     def run_with_failing_analysis(tmp_path, monkeypatch, error):
@@ -151,6 +169,15 @@ class TestSpectrum:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("spectrum.n_values = 2\n")
         assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "text", ["spectrum.seeds_per_n = 0\n", "spectrum.n_values =\n"], ids=["no_seeds", "no_n_values"]
+    )
+    def test_empty_batch_rejected(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "spectrum_summary.csv").exists()
 
 
 class TestValidate:

@@ -10,6 +10,7 @@ from triswarm import (
     LennardJonesParams,
     SimulationParams,
     SwarmConfig,
+    Trajectory,
     generate_triangular,
     simulate,
 )
@@ -22,6 +23,8 @@ from triswarm.serialize import (
     write_config_csv,
     write_trajectory_csv,
 )
+
+from .oracles import csv_write_trajectory
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
@@ -47,6 +50,9 @@ class TestExperimentConfig:
             dict(delta=-0.1),
             dict(trials=0),
             dict(growth="spiral"),
+            dict(spectrum_n_values=()),
+            dict(spectrum_n_values=(3, 2)),
+            dict(spectrum_seeds_per_n=0),
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -199,3 +205,20 @@ class TestSerialize:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,agent,x,y"
         assert len(lines) == 1 + 2 * len(traj.times)
+
+    def test_trajectory_csv_bytes_equal_csv_writer(self, tmp_path, paper_fn):
+        states = np.array(
+            [
+                [[0.0, -0.0], [1e-5, -2.5], [0.1, 1.0 / 3.0]],
+                [[-1e-300, 123456789.125], [2.0**-40, -0.1], [1e22, -7.0]],
+            ]
+        )
+        traj = Trajectory(times=np.array([0.0, 0.1]), states=states, params=SimulationParams())
+        simulated = simulate(
+            generate_triangular(LatticeSpec(n=10, seed=3), R_A), paper_fn, SimulationParams(horizon=0.05)
+        )
+        for k, t in enumerate((traj, simulated)):
+            fast, reference = tmp_path / f"fast{k}.csv", tmp_path / f"reference{k}.csv"
+            write_trajectory_csv(t, fast)
+            csv_write_trajectory(t, reference)
+            assert fast.read_bytes() == reference.read_bytes()

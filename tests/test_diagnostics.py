@@ -13,6 +13,7 @@ from triswarm import (
     simulate,
     swarm_center,
 )
+from triswarm.errors import InvalidInputError
 
 from .oracles import adaptive_simpson
 
@@ -72,7 +73,7 @@ class TestLyapunovRate:
 class TestDissipationCheck:
     def test_requires_stride_one(self, lattice25, paper_fn):
         traj = simulate(lattice25, paper_fn, SimulationParams(horizon=0.1, record_every=2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             dissipation_check(traj, paper_fn, SimulationParams(horizon=0.1, record_every=2))
 
     def test_small_perturbation_high_agreement(self, truncated_fn):

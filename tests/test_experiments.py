@@ -5,7 +5,9 @@ import pytest
 
 from triswarm import (
     SimulationParams,
+    SwarmConfig,
     SweepSpec,
+    Trajectory,
     convergence_study,
     delta_sweep,
     experiments,
@@ -13,7 +15,7 @@ from triswarm import (
     run_trial,
     trial_seeds,
 )
-from triswarm.errors import DegenerateConfigurationError, IntegrationDivergedError, InvalidInputError
+from triswarm.errors import IntegrationDivergedError, InvalidInputError
 from triswarm.experiments import CONVERGENCE_E, write_series_csv, write_sweep_csv
 
 FAST_SIM = SimulationParams(horizon=2.0, record_every=20)
@@ -64,24 +66,31 @@ class TestRunTrial:
         rec = run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn, track_rigidity=True)
         assert rec.rigidity_preserved is True
 
-    @pytest.mark.parametrize("error", [DegenerateConfigurationError, RuntimeError])
-    def test_only_a_degenerate_final_state_scores_infinite(self, paper_fn, monkeypatch, error):
+    def test_final_state_without_links_scores_infinite(self, paper_fn, monkeypatch):
+        def scattered(initial, fn, sim, observers=()):
+            states = np.stack([initial.positions, 10.0 * initial.positions])
+            return Trajectory(times=np.array([0.0, sim.dt]), states=states, params=sim)
+
+        monkeypatch.setattr(experiments, "simulate", scattered)
+        rec = run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn)
+        assert rec.e_final == float("inf")
+        assert not rec.rigid_final and not rec.converged
+
+    def test_final_state_scored_by_one_link_pass(self, paper_fn, monkeypatch):
         real = experiments.link_error
         calls = []
 
-        def fails_on_final(*args):
+        def counted(*args):
             calls.append(args)
-            if len(calls) > 1:
-                raise error("scoring failed")
             return real(*args)
 
-        monkeypatch.setattr(experiments, "link_error", fails_on_final)
-        if error is DegenerateConfigurationError:
-            rec = run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn)
-            assert rec.e_final == float("inf") and not rec.converged
-        else:
-            with pytest.raises(error, match="scoring failed"):
-                run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn)
+        monkeypatch.setattr(experiments, "link_error", counted)
+        last = []
+        rec = run_trial(
+            10, 0.05, (1, 2), FAST_SIM, paper_fn, observers=[lambda k, t, pos: last.append(pos.copy())]
+        )
+        assert len(calls) == 1  # e_initial only; e_final comes from is_triangular
+        assert rec.e_final == real(SwarmConfig(last[-1]), FAST_SIM.R, FAST_SIM.R_a)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from triswarm import (
 from triswarm.errors import InvalidInputError, SingularityError
 from triswarm.interaction import saturation_knot
 
-from .oracles import finite_difference_jacobian, loop_jacobian, loop_laplacian_term
+from .oracles import (
+    eig_spectral_analysis,
+    finite_difference_jacobian,
+    loop_jacobian,
+    loop_laplacian_term,
+)
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
@@ -164,3 +170,57 @@ class TestSpectralAnalysis:
         links = compute_links(lattice25, R_A)
         with pytest.raises(InvalidInputError):
             spectral_analysis(np.zeros((5, 5)), rigidity_matrix(lattice25, links))
+
+    @pytest.mark.parametrize("profile", ["paper_fn", "truncated_fn"])
+    @pytest.mark.parametrize("n", [3, 25, 100])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_matches_general_eigensolve(self, request, profile, n, delta):
+        fn = request.getfixturevalue(profile)
+        cfg = perturb(generate_triangular(LatticeSpec(n=n, seed=n), R_A), delta, 5)
+        links = compute_links(cfg, R_A)
+        j, m = jacobian(cfg, fn, R_A), rigidity_matrix(cfg, links)
+        report = spectral_analysis(j, m)
+        ref = eig_spectral_analysis(j, m)
+        assert report.eigenvalues.dtype == np.float64
+        for key in ("zero_count", "negative_count", "unclassified_count", "kernel_aligned"):
+            assert getattr(report, key) == ref[key], key
+        rho = np.abs(ref["eigenvalues"]).max()
+        assert np.abs(report.eigenvalues - ref["eigenvalues"].real).max() <= 1e-12 * rho
+        assert np.abs(ref["eigenvalues"].imag).max() <= 1e-12 * rho
+        assert abs(report.max_real_nonzero_eig - ref["max_real_nonzero_eig"]) <= 1e-12 * rho
+
+    def test_max_real_nonzero_eig_nan_when_all_zero(self, lattice25):
+        m = rigidity_matrix(lattice25, compute_links(lattice25, R_A))
+        assert math.isnan(spectral_analysis(np.zeros((50, 50)), m).max_real_nonzero_eig)
+
+    def test_max_real_nonzero_eig_takes_positive_mode(self, lattice25):
+        m = rigidity_matrix(lattice25, compute_links(lattice25, R_A))
+        j = np.diag(np.r_[2.0, 0.5, np.zeros(45), -1.0, -1.0, -3.0])
+        report = spectral_analysis(j, m)
+        assert report.unclassified_count == 2 and report.negative_count == 3
+        assert report.max_real_nonzero_eig == 2.0
+        assert report.max_real_nonzero_eig == eig_spectral_analysis(j, m)["max_real_nonzero_eig"]
+
+    def test_asymmetric_rejected(self, paper_fn, lattice25):
+        j = jacobian(lattice25, paper_fn, R_A)
+        j[0, 1] += 1e-12
+        m = rigidity_matrix(lattice25, compute_links(lattice25, R_A))
+        with pytest.raises(InvalidInputError):
+            spectral_analysis(j, m)
+        with pytest.raises(InvalidInputError):
+            kernel_principal_angles(lattice25, j)
+
+    def test_one_link_pass(self, monkeypatch, paper_fn, lattice25):
+        original = compute_links
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("triswarm") and getattr(module, "compute_links", None) is original:
+                monkeypatch.setattr(module, "compute_links", counted)
+        report = analyze_configuration(lattice25, paper_fn, R_A)
+        assert report.zero_count == 3
+        assert len(calls) == 1
