@@ -16,6 +16,7 @@ from .graph import (
     compute_links,
     incidence_matrix,
     is_infinitesimally_rigid,
+    links_along,
     numerical_rank,
     rigidity_matrix,
     swarm_center,
@@ -47,7 +48,14 @@ from .lattice import (
     link_error,
     perturb,
 )
-from .diagnostics import DissipationReport, LyapunovSample, dissipation_check, lyapunov_rate, lyapunov_value
+from .diagnostics import (
+    DissipationReport,
+    LyapunovSample,
+    dissipation_check,
+    energy_series,
+    lyapunov_rate,
+    lyapunov_value,
+)
 from .linearization import (
     SpectrumReport,
     analyze_configuration,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .diagnostics import dissipation_check, lyapunov_value
+from .diagnostics import dissipation_check, energy_series
 from .dynamics import center_drift, simulate
 from .errors import IntegrationDivergedError, InvalidInputError, SingularityError
 from .experiments import (
@@ -29,7 +29,6 @@ from .experiments import (
     trial_seeds,
     write_sweep_csv,
 )
-from .graph import swarm_center
 from .interaction import validate_assumption1
 from .lattice import LatticeSpec, generate_triangular, is_triangular, perturb
 from .linearization import analyze_configuration
@@ -115,10 +114,7 @@ def cmd_simulate(args) -> int:
                     f"{fmt(s.rate_numeric)},{s.link_count},{int(s.flagged)}\n"
                 )
     else:
-        ref = swarm_center(traj.initial)
-        v_series = [
-            lyapunov_value(traj.config(k), ref, fn, cfg.R_a) for k in range(len(traj.times))
-        ]
+        v_series = energy_series(traj, fn, cfg.R_a)[0].tolist()
     summary = {
         "e_final": e_final,
         "rigid_final": bool(report.rigid),

@@ -14,17 +14,21 @@ import numpy as np
 
 from .dynamics import SimulationParams, Trajectory, velocities
 from .errors import InvalidInputError
-from .graph import LinkSet, SwarmConfig, compute_links, swarm_center
+from .graph import LinkSet, SwarmConfig, compute_links, links_along, swarm_center
 from .interaction import InteractionFunction
 
 
 def _energy(
-    config: SwarmConfig, links: LinkSet, reference_center: np.ndarray, fn: InteractionFunction
+    positions: np.ndarray, links: LinkSet, reference_center: np.ndarray, fn: InteractionFunction
 ) -> float:
-    center_term = float(np.sum((np.asarray(reference_center, float) - swarm_center(config)) ** 2))
+    center_term = float(np.sum((np.asarray(reference_center, float) - positions.mean(axis=0)) ** 2))
     if links.m == 0:
         return center_term
     return center_term + float(np.sum(fn.potential(links.lengths)))
+
+
+def _rate(u: np.ndarray) -> float:
+    return -float(np.einsum("ik,ik->", u, u))
 
 
 def lyapunov_value(
@@ -34,13 +38,35 @@ def lyapunov_value(
     r_a: float,
 ) -> float:
     """Squared center offset plus sum of link potentials (links recomputed here)."""
-    return _energy(config, compute_links(config, r_a), reference_center, fn)
+    return _energy(config.positions, compute_links(config, r_a), reference_center, fn)
 
 
 def lyapunov_rate(config: SwarmConfig, fn: InteractionFunction, r_s: float) -> float:
     """Analytic decay rate: minus the sum of squared control inputs."""
-    u, _ = velocities(config.positions, fn, r_s)
-    return -float(np.einsum("ik,ik->", u, u))
+    return _rate(velocities(config.positions, fn, r_s)[0])
+
+
+def energy_series(
+    traj: Trajectory, fn: InteractionFunction, r_a: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy, link count and link-set change of every recorded state, in one link pass.
+
+    The energy is `lyapunov_value` with the initial center as reference;
+    `changed[k]` says whether state k's link set differs from state k - 1's
+    (False at k = 0).
+    """
+    ref = swarm_center(traj.initial)
+    n_rec = len(traj.times)
+    values = np.empty(n_rec)
+    counts = np.empty(n_rec, dtype=int)
+    changed = np.zeros(n_rec, dtype=bool)
+    previous = None
+    for k, links in enumerate(links_along(traj.states, r_a)):
+        values[k] = _energy(traj.states[k], links, ref, fn)
+        counts[k] = links.m
+        changed[k] = previous is not None and not np.array_equal(links.pairs, previous)
+        previous = links.pairs
+    return values, counts, changed
 
 
 @dataclass(frozen=True)
@@ -71,31 +97,25 @@ def dissipation_check(
 ) -> DissipationReport:
     """Compare the finite difference of the energy against its analytic rate.
 
-    Requires a trajectory recorded with stride 1.  A step where the link set
+    Requires a trajectory recorded with stride 1 that carries its control
+    inputs (`simulate` stores them); the analytic rate at each state is taken
+    from its stored input, not recomputed.  A step where the link set
     changes is flagged and excluded from the agreement statistic (the energy
     is only differentiable while the link set is constant).
     """
     if params.record_every != 1:
         raise InvalidInputError("dissipation check requires record_every == 1")
-    ref = swarm_center(traj.initial)
-    n_rec = len(traj.times)
-    values = np.empty(n_rec)
-    link_keys = []
-    link_counts = []
-    for k in range(n_rec):
-        cfg = traj.config(k)
-        links = compute_links(cfg, params.R_a)
-        values[k] = _energy(cfg, links, ref, fn)
-        link_keys.append(links.pairs.tobytes())
-        link_counts.append(links.m)
+    if traj.inputs is None:
+        raise InvalidInputError("dissipation check requires a trajectory that carries its inputs")
+    values, counts, changed = energy_series(traj, fn, params.R_a)
     samples = []
     agree = 0
     unflagged = 0
-    for k in range(n_rec - 1):
+    for k in range(len(traj.times) - 1):
         dt = traj.times[k + 1] - traj.times[k]
         rate_num = (values[k + 1] - values[k]) / dt
-        rate_an = lyapunov_rate(traj.config(k), fn, params.R_s)
-        flagged = link_keys[k + 1] != link_keys[k]
+        rate_an = _rate(traj.inputs[k])
+        flagged = bool(changed[k + 1])
         mismatch = False
         if not flagged:
             unflagged += 1
@@ -107,7 +127,7 @@ def dissipation_check(
                 value=float(values[k]),
                 rate_analytic=rate_an,
                 rate_numeric=float(rate_num),
-                link_count=link_counts[k],
+                link_count=int(counts[k]),
                 flagged=flagged,
                 mismatch=mismatch,
             )

@@ -58,6 +58,7 @@ class Trajectory:
     states: np.ndarray  # (T, n, 2)
     params: SimulationParams
     coincident_warnings: int = 0
+    inputs: np.ndarray | None = None  # (T, n, 2): the control input at each recorded state
 
     def config(self, k: int) -> SwarmConfig:
         return SwarmConfig(self.states[k])
@@ -107,36 +108,47 @@ def simulate(
 ) -> Trajectory:
     """Integrate over the full horizon, recording every record_every steps.
 
-    Observers are callables (step_index, time, positions) invoked at every
-    recorded step, including step 0 and the final step.  Deterministic:
-    identical inputs produce bit-identical trajectories.
+    Each recorded state is stored with the control input evaluated on it
+    (`Trajectory.inputs`); the final state's input takes one evaluation
+    beyond the n_steps that drive the integration, and neither counts its
+    coincident pairs nor raises on them.  Observers are callables
+    (step_index, time, positions) invoked at every recorded step, including
+    step 0 and the final step.  Deterministic: identical inputs produce
+    bit-identical trajectories.
     """
-    n_steps = params.n_steps
+    n_steps, stride = params.n_steps, params.record_every
+    n_rec = -(-n_steps // stride) + 1  # steps 0, stride, 2 * stride, ... and the last
     pos = initial.positions.copy()
-    times = [0.0]
-    states = [pos.copy()]
+    times = np.empty(n_rec)
+    states = np.empty((n_rec,) + pos.shape)
+    inputs = np.empty_like(states)
     warn_total = 0
-    for obs in observers:
-        obs(0, 0.0, pos)
-    for k in range(1, n_steps + 1):
+    r = 0  # next record
+    for k in range(n_steps + 1):
+        if k % stride == 0 or k == n_steps:
+            times[r] = t = k * params.dt
+            states[r] = pos
+            for obs in observers:
+                obs(k, t, pos)
+            r += 1
+        if k == n_steps:
+            inputs[r - 1] = velocities(pos, fn, params.R_s)[0]
+            break
         u, warn = velocities(pos, fn, params.R_s, coincident_policy)
         warn_total += warn
+        if k % stride == 0:
+            inputs[r - 1] = u
         pos = pos + params.dt * u
         if not np.all(np.isfinite(pos)):
             raise IntegrationDivergedError(
-                f"diverged at step {k}", snapshot=SwarmConfig(states[-1]), step=k
+                f"diverged at step {k + 1}", snapshot=SwarmConfig(states[r - 1].copy()), step=k + 1
             )
-        if k % params.record_every == 0 or k == n_steps:
-            t = k * params.dt
-            times.append(t)
-            states.append(pos.copy())
-            for obs in observers:
-                obs(k, t, pos)
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=times,
+        states=states,
         params=params,
         coincident_warnings=warn_total,
+        inputs=inputs,
     )
 
 

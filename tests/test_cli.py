@@ -5,15 +5,22 @@ import sys
 import numpy as np
 import pytest
 
+import triswarm.diagnostics
+import triswarm.dynamics
 import triswarm.graph
 from triswarm import (
     LatticeSpec,
+    SimulationParams,
     SwarmConfig,
     compute_links,
     generate_triangular,
     jacobian,
+    lyapunov_value,
+    perturb,
     rigidity_matrix,
     saturated_lennard_jones,
+    simulate,
+    swarm_center,
 )
 from triswarm.cli import main
 from triswarm.errors import SingularityError
@@ -81,6 +88,42 @@ class TestSimulate:
         states = len(json.loads((out / "summary.json").read_text())["V_series"])
         assert states == 51
         assert len(calls) <= states + 3
+
+    def test_one_evaluation_per_step(self, tmp_path, monkeypatch):
+        original = triswarm.dynamics.velocities
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(triswarm.dynamics, "velocities", counted)
+        monkeypatch.setattr(triswarm.diagnostics, "velocities", counted)
+        out = tmp_path / "counted"
+        code = run(
+            [
+                "simulate", "--n", "25", "--delta", "0.2", "--horizon", "0.5",
+                "--record-every", "1", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 50 + 1  # each step, and the final state's input
+
+    def test_strided_energy_series_equals_per_state_values(self, tmp_path):
+        out = tmp_path / "strided"
+        code = run(
+            [
+                "simulate", "--n", "25", "--delta", "0.5", "--seed", "3", "--horizon", "3",
+                "--record-every", "7", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        v_series = json.loads((out / "summary.json").read_text())["V_series"]
+        fn = saturated_lennard_jones()
+        lattice = generate_triangular(LatticeSpec(n=25, seed=3, growth="compact"), R_A)
+        traj = simulate(perturb(lattice, 0.5, 4), fn, SimulationParams(horizon=3.0, record_every=7))
+        ref = swarm_center(traj.initial)
+        assert v_series == [lyapunov_value(traj.config(k), ref, fn, R_A) for k in range(len(traj.times))]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(["simulate", "--config", str(tmp_path / "nope.cfg")])

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from triswarm import (
+    LatticeSpec,
     SimulationParams,
     SwarmConfig,
+    Trajectory,
+    compute_links,
     dissipation_check,
+    energy_series,
+    generate_triangular,
+    saturated_lennard_jones,
     lyapunov_rate,
     lyapunov_value,
     perturb,
@@ -15,7 +21,7 @@ from triswarm import (
 )
 from triswarm.errors import InvalidInputError
 
-from .oracles import adaptive_simpson
+from .oracles import adaptive_simpson, recompute_dissipation_check
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
@@ -118,3 +124,49 @@ class TestDissipationCheck:
         for k, value in enumerate(report.values):
             assert value == lyapunov_value(traj.config(k), ref, paper_fn, R_A)
         assert list(report.values[:-1]) == [s.value for s in report.samples]
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("n, delta", [(3, 0.3), (25, 0.0), (25, 0.2), (25, 0.5), (100, 0.5)])
+    def test_equals_the_recomputing_check(self, n, delta, truncate):
+        fn = saturated_lennard_jones(truncate=truncate)
+        lattice = generate_triangular(LatticeSpec(n=n, seed=n, growth="compact"), R_A)
+        params = SimulationParams(horizon=2.0, record_every=1)
+        traj = simulate(perturb(lattice, delta, 6), fn, params)
+        report = dissipation_check(traj, fn, params)
+        reference = recompute_dissipation_check(traj, fn, params)
+        assert report.samples == reference.samples
+        assert report.values == reference.values
+        assert report.tol == reference.tol
+        assert report.agreement_fraction == reference.agreement_fraction
+        assert report.flagged_count == reference.flagged_count
+
+    def test_link_changes_match_the_recomputing_check(self, paper_fn):
+        cfg = SwarmConfig(np.array([[0.0, 0.0], [R_A + 0.004, 0.0], [5.0, 5.0]]))
+        params = SimulationParams(horizon=1.0, record_every=1)
+        traj = simulate(cfg, paper_fn, params)
+        report = dissipation_check(traj, paper_fn, params)
+        assert report.flagged_count >= 1
+        assert report == recompute_dissipation_check(traj, paper_fn, params)
+
+    def test_requires_carried_inputs(self, lattice25, paper_fn):
+        params = SimulationParams(horizon=0.1, record_every=1)
+        traj = simulate(lattice25, paper_fn, params)
+        bare = Trajectory(times=traj.times, states=traj.states, params=params)
+        with pytest.raises(InvalidInputError):
+            dissipation_check(bare, paper_fn, params)
+
+
+class TestEnergySeries:
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_values_counts_and_changes(self, paper_fn, lattice25, stride):
+        traj = simulate(perturb(lattice25, 0.5, 2), paper_fn, SimulationParams(horizon=2.0, record_every=stride))
+        values, counts, changed = energy_series(traj, paper_fn, R_A)
+        ref = swarm_center(traj.initial)
+        pairs = [compute_links(traj.config(k), R_A).pairs for k in range(len(traj.times))]
+        assert values.tolist() == [
+            lyapunov_value(traj.config(k), ref, paper_fn, R_A) for k in range(len(traj.times))
+        ]
+        assert counts.tolist() == [len(p) for p in pairs]
+        assert changed.tolist() == [False] + [
+            not np.array_equal(a, b) for a, b in zip(pairs[1:], pairs[:-1])
+        ]

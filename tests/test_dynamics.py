@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from triswarm import (
+    LatticeSpec,
     SimulationParams,
     SwarmConfig,
     center_drift,
     compute_links,
+    generate_triangular,
+    perturb,
     simulate,
     velocities,
 )
@@ -179,19 +183,69 @@ class TestSimulate:
         assert seen == [0, 2, 4, 6, 8, 10]
 
     def test_divergence_reports_snapshot(self):
-        from triswarm.interaction import InteractionFunction
-
-        exploding = InteractionFunction(
-            force=lambda z: np.full_like(np.asarray(z, float), np.inf),
-            derivative=lambda z: np.zeros_like(np.asarray(z, float)),
-            potential=lambda z: np.zeros_like(np.asarray(z, float)),
-            R=1.0,
-            R_a=R_A,
-        )
         with pytest.raises(IntegrationDivergedError) as err:
-            simulate(pair(1.2), exploding, SimulationParams(horizon=0.1))
+            simulate(pair(1.2), exploding_profile(), SimulationParams(horizon=0.1))
         assert err.value.step is not None
         assert err.value.snapshot is not None
+
+    def test_divergence_stops_before_evaluating_the_bad_state(self):
+        # velocities on a non-finite state would warn (inf - inf in its differences)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError) as err:
+                simulate(pair(1.2), exploding_profile(), SimulationParams(horizon=0.1))
+        assert err.value.step == 1
+        assert np.array_equal(err.value.snapshot.positions, pair(1.2).positions)
+
+
+def exploding_profile():
+    from triswarm.interaction import InteractionFunction
+
+    return InteractionFunction(
+        force=lambda z: np.full_like(np.asarray(z, float), np.inf),
+        derivative=lambda z: np.zeros_like(np.asarray(z, float)),
+        potential=lambda z: np.zeros_like(np.asarray(z, float)),
+        R=1.0,
+        R_a=R_A,
+    )
+
+
+class TestCarriedInputs:
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_each_recorded_state_carries_its_input(self, stride, truncate):
+        from triswarm import saturated_lennard_jones
+
+        fn = saturated_lennard_jones(truncate=truncate)
+        lattice = generate_triangular(LatticeSpec(n=25, seed=2, growth="compact"), R_A)
+        params = SimulationParams(horizon=1.0, record_every=stride)
+        traj = simulate(perturb(lattice, 0.3, 4), fn, params)
+        assert traj.inputs.shape == traj.states.shape
+        assert traj.times[-1] == params.n_steps * params.dt  # the final state is recorded
+        for k in range(len(traj.times)):
+            assert np.array_equal(traj.inputs[k], velocities(traj.states[k], fn, params.R_s)[0])
+
+    @pytest.mark.parametrize("stride", [1, 3, 7, 100, 1000])
+    def test_records_match_the_stride(self, paper_fn, stride):
+        params = SimulationParams(horizon=1.0, record_every=stride)
+        seen = []
+        traj = simulate(pair(1.2), paper_fn, params, observers=[lambda k, t, x: seen.append(k)])
+        expected = sorted(set(range(0, params.n_steps + 1, stride)) | {params.n_steps})
+        assert seen == expected
+        assert traj.times.tolist() == [k * params.dt for k in expected]
+
+    def test_states_follow_their_inputs(self, paper_fn, lattice25):
+        params = SimulationParams(horizon=0.2)
+        traj = simulate(perturb(lattice25, 0.2, 1), paper_fn, params)
+        assert np.array_equal(traj.states[1:], traj.states[:-1] + params.dt * traj.inputs[:-1])
+
+    def test_final_input_not_counted_as_coincident(self, paper_fn):
+        # a coincident pair stays put: one warning per step, none for the final input
+        cfg = SwarmConfig(np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]))
+        params = SimulationParams(horizon=0.1)
+        traj = simulate(cfg, paper_fn, params)
+        assert traj.coincident_warnings == params.n_steps
+        assert np.all(traj.inputs[:, :2] == 0.0)
 
 
 class TestCenterDrift:

@@ -9,17 +9,22 @@ from hypothesis.extra.numpy import arrays
 from triswarm import (
     LatticeSpec,
     LinkSet,
+    SimulationParams,
     SwarmConfig,
     are_congruent,
     compute_links,
     generate_triangular,
     incidence_matrix,
     is_infinitesimally_rigid,
+    links_along,
     numerical_rank,
     perturb,
     rigidity_matrix,
+    saturated_lennard_jones,
+    simulate,
     swarm_center,
 )
+from triswarm import graph
 from triswarm.errors import InvalidInputError
 
 from .oracles import loop_rigidity_matrix, svd_rank
@@ -63,6 +68,74 @@ class TestComputeLinks:
     def test_nonpositive_radius_rejected(self, triangle):
         with pytest.raises(InvalidInputError):
             compute_links(triangle, 0.0)
+
+
+def assert_links_along_match(states, r_a):
+    found = list(links_along(states, r_a))
+    assert len(found) == len(states)
+    for positions, links in zip(states, found):
+        reference = compute_links(SwarmConfig(positions), r_a)
+        assert np.array_equal(links.pairs, reference.pairs)
+        assert np.array_equal(links.lengths, reference.lengths)
+    return found
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Candidate builds of links_along (compute_links runs the same pass at r_a)."""
+    builds = []
+    original = graph._pairs_within
+
+    def counted(config, cutoff):
+        if cutoff == R_A + graph.SKIN:
+            builds.append(cutoff)
+        return original(config, cutoff)
+
+    monkeypatch.setattr(graph, "_pairs_within", counted)
+    return builds
+
+
+class TestLinksAlong:
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("n", [3, 25, 100])
+    def test_equals_compute_links_on_simulated_runs(self, n, delta, truncate):
+        fn = saturated_lennard_jones(truncate=truncate)
+        lattice = generate_triangular(LatticeSpec(n=n, seed=n, growth="compact"), R_A)
+        traj = simulate(perturb(lattice, delta, 5), fn, SimulationParams(horizon=3.0))
+        assert_links_along_match(traj.states, R_A)
+
+    def test_jump_beyond_half_skin_rebuilds(self, counted_builds):
+        base = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        step = np.array([[0.0, 0.0], [0.0, 0.0], [graph.SKIN / 2 + 1e-9, 0.0]])
+        creep = np.array([[0.0, 0.0], [0.0, 0.0], [graph.SKIN / 2, 0.0]])
+        # agent 2 creeps to the half-skin mark (no rebuild), then jumps past it
+        states = np.stack([base, base - creep, base - creep - 2 * step])
+        found = assert_links_along_match(states, R_A)
+        assert len(counted_builds) == 2
+        assert [links.m for links in found] == [1, 1, 2]
+
+    def test_every_far_jump_rebuilds(self, counted_builds):
+        rng = np.random.default_rng(3)
+        states = rng.uniform(-3.0, 3.0, (6, 20, 2))  # jumps of several skins
+        assert_links_along_match(states, R_A)
+        assert len(counted_builds) == len(states)
+
+    def test_pair_at_exactly_r_a_included(self):
+        states = np.array([[[0.0, 0.0], [R_A, 0.0]], [[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [R_A, 0.0]]])
+        found = assert_links_along_match(states, R_A)
+        assert found[0].pairs.tolist() == [[0, 1]] and found[0].lengths[0] == R_A
+        assert found[2].pairs.tolist() == [[0, 1]]
+
+    def test_state_without_links(self):
+        states = np.array([[[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]]])
+        found = assert_links_along_match(states, R_A)
+        assert found[0].m == 0 and found[0].pairs.shape == (0, 2)
+        assert found[1].m == 1
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(InvalidInputError):
+            list(links_along(np.zeros((1, 2, 2)), 0.0))
 
 
 class TestIncidenceMatrix:
