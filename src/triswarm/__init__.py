@@ -18,6 +18,7 @@ from .graph import (
     is_infinitesimally_rigid,
     links_along,
     numerical_rank,
+    rigid_motion_basis,
     rigidity_matrix,
     swarm_center,
 )
@@ -62,7 +63,6 @@ from .linearization import (
     jacobian,
     kernel_principal_angles,
     laplacian_term,
-    rigid_motion_basis,
     spectral_analysis,
 )
 from .experiments import (

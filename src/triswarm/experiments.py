@@ -16,9 +16,9 @@ import numpy as np
 
 from .dynamics import SimulationParams, simulate
 from .errors import IntegrationDivergedError, InvalidInputError
-from .graph import SwarmConfig, compute_links, is_infinitesimally_rigid
+from .graph import SwarmConfig, is_infinitesimally_rigid, links_along
 from .interaction import InteractionFunction
-from .lattice import LatticeSpec, generate_triangular, is_triangular, link_error, perturb
+from .lattice import LatticeSpec, _max_deviation, generate_triangular, is_triangular, link_error, perturb
 from .serialize import fmt, write_json
 
 #: Terminal link-length error below which a trial counts as converged.
@@ -98,7 +98,9 @@ def run_trial(
 ) -> TrialRecord:
     """Generate a lattice, perturb it, simulate, and score the terminal state.
 
-    `observers` are passed on to `simulate`, after the rigidity tracker.
+    `observers` are passed on to `simulate`, after the rigidity tracker.  The
+    tracker tests every recorded state (those before a divergence too), with
+    the links of one `links_along` pass over them.
     """
     lattice_seed, perturb_seed = seeds
     lattice = generate_triangular(
@@ -107,19 +109,23 @@ def run_trial(
     initial = perturb(lattice, delta, perturb_seed)
     e_initial = link_error(initial, sim.R, sim.R_a)
     diverged = False
-    rigidity_flags: list[bool] = []
+    recorded: list[np.ndarray] = []
     trackers = []
     if track_rigidity:
-        def check_rigidity(step, t, positions):
-            cfg = SwarmConfig(positions)
-            rigidity_flags.append(is_infinitesimally_rigid(cfg, compute_links(cfg, sim.R_a)))
-        trackers.append(check_rigidity)
+        def record(step, t, positions):
+            recorded.append(positions.copy())
+        trackers.append(record)
     try:
         traj = simulate(initial, fn, sim, observers=[*trackers, *observers])
         final = traj.final
     except IntegrationDivergedError as exc:
         diverged = True
         final = exc.snapshot
+    rigidity_preserved = None
+    if track_rigidity:
+        links = links_along(recorded, sim.R_a)
+        flags = [is_infinitesimally_rigid(SwarmConfig(p), ls) for p, ls in zip(recorded, links)]
+        rigidity_preserved = all(flags)
     report = is_triangular(final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)
     e_final = report.max_length_deviation  # inf when no links remain
     rigid = report.rigid
@@ -135,7 +141,7 @@ def run_trial(
         triangular_final=report.ok,
         converged=converged,
         diverged=diverged,
-        rigidity_preserved=all(rigidity_flags) if track_rigidity else None,
+        rigidity_preserved=rigidity_preserved,
     )
 
 
@@ -209,11 +215,11 @@ def convergence_study(
     for ti in range(trials):
         ls, _ = trial_seeds(lattice_seed_base, 0, ti)
         _, ps = trial_seeds(perturb_seed_base, 0, ti)
-        times, errors = [], []
+        times, states = [], []
 
         def observe(step, t, positions):
             times.append(t)
-            errors.append(link_error(SwarmConfig(positions), sim.R, sim.R_a))
+            states.append(positions.copy())
 
         record = run_trial(
             n, delta, (ls, ps), sim, fn, track_rigidity, growth, observers=[observe]
@@ -223,7 +229,7 @@ def convergence_study(
                 f"trial {ti} diverged (lattice seed {ls}, perturb seed {ps})"
             )
         records.append(replace(record, trial_index=ti))
-        all_series.append(errors)
+        all_series.append([_max_deviation(links, sim.R) for links in links_along(states, sim.R_a)])
     series = np.asarray(all_series)
     return ConvergenceStudy(
         times=np.asarray(times),

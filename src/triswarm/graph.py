@@ -1,7 +1,7 @@
 """Combinatorial and metric structure of a swarm configuration.
 
 Links within the maximum link length, incidence and rigidity matrices,
-rank-based infinitesimal rigidity test, congruence test.
+rigid-motion basis, rank-based infinitesimal rigidity test, congruence test.
 """
 
 from __future__ import annotations
@@ -10,13 +10,17 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
-from .errors import InvalidInputError
+from .errors import DegenerateConfigurationError, InvalidInputError
 
 #: Default relative tolerance for numerical rank decisions.  Comfortably
 #: separates the O(1)-scale singular values of unit-spacing lattices from
 #: rounding noise.
 RANK_TOL = 1e-8
+
+#: Largest entry of |B^T B - I| for the columns of B to count as orthonormal.
+ORTHONORMAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,15 +160,113 @@ def rigidity_matrix(config: SwarmConfig, links: LinkSet) -> np.ndarray:
     return m.reshape(links.m, 2 * config.n)
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Singular values above tol relative to the largest one."""
+def _orthonormal(columns: np.ndarray) -> bool:
+    gram_error = columns.T @ columns - np.eye(columns.shape[1])
+    return bool(np.max(np.abs(gram_error), initial=0.0) <= ORTHONORMAL_TOL)  # False on NaN
+
+
+def rigid_motion_basis(config: SwarmConfig) -> np.ndarray:
+    """Orthonormal (2n, 3) basis: x-translation, y-translation, rotation about the center.
+
+    Every column is annihilated by the configuration's rigidity matrix.
+    Raises DegenerateConfigurationError when the rotation is not resolved:
+    every agent at one point, or a spread so small that the rounding of the
+    center leaves the rotation column short of orthogonal to the translations.
+    """
+    if config.n < 2:
+        raise InvalidInputError("basis requires n >= 2")
+    n = config.n
+    tx = np.tile([1.0, 0.0], n)
+    ty = np.tile([0.0, 1.0], n)
+    centered = config.positions - swarm_center(config)
+    rot = np.column_stack([-centered[:, 1], centered[:, 0]]).reshape(-1)
+    rot_norm = np.linalg.norm(rot)
+    if rot_norm == 0.0:
+        raise DegenerateConfigurationError("all agents at one point: no rotation about the center")
+    basis = np.column_stack([tx / np.linalg.norm(tx), ty / np.linalg.norm(ty), rot / rot_norm])
+    if not _orthonormal(basis):
+        raise DegenerateConfigurationError("rotation about the center not resolved at this spread")
+    return basis
+
+
+def _motion_kernel(config: SwarmConfig) -> np.ndarray | None:
+    """`rigid_motion_basis`, or None where it is undefined (the rank then comes from the SVD)."""
+    try:
+        return rigid_motion_basis(config)
+    except DegenerateConfigurationError:
+        return None
+
+
+def _certifies_corank(matrix: np.ndarray, kernel: np.ndarray, tol: float) -> bool:
+    """True when the SVD count of `numerical_rank` is proven to be q - k; False when undecided.
+
+    M is the m x q matrix, K the q x k orthonormal kernel, s = |M|_F^2 >= sigma_1^2,
+    and u = eps / 2 the unit roundoff.
+
+    Upper side: sigma_{q-k+1} <= |M K|_2 (min-max over the span of K), so
+    |M K|_F^2 <= tol^2 max_i |M e_i|^2 / 4 <= (tol sigma_1 / 2)^2 keeps every
+    singular value past the (q - k)-th at half the threshold or below.
+
+    Lower side: G = M^T M + s K K^T is a positive semidefinite rank-k update
+    of M^T M, so by interlacing lambda_min(G) <= sigma_{q-k}^2.  The Cholesky
+    factorization of the computed G - c I is attempted.  Its errors, as
+    spectral norms:
+      - forming M^T M (m-term dot products): gamma_m |M|_F^2 <= m eps s;
+      - forming s K K^T: gamma_{k+1} s |K|_F^2 <= (k + 1) k eps s < q (q + 1) eps s;
+      - the diagonal shift: u max_i |g_ii| <= q eps s;
+      - Cholesky itself (Higham, Accuracy and Stability of Numerical
+        Algorithms, Thms 10.3 and 10.5): if it runs to completion,
+        R^T R = A + dA with |dA| <= gamma_{q+1} |R^T| |R|, hence
+        |dA|_2 <= gamma_{q+1} trace(A) / (1 - gamma_{q+1}) <= (q + 1) eps (k + 1) s
+        <= q (q + 1) eps s, as trace(A) <= (k + 1) s and k < q.
+    Their sum stays below (4 q (q + 1) + m) eps s, with room for the rounding
+    of s and c.  A completed factorization makes R^T R positive definite, so
+    sigma_{q-k}^2 >= lambda_min(G) > c - (4 q (q + 1) + m) eps s = tol^2 s
+    >= (tol sigma_1)^2.  As c >= (tol^2 + 24 eps) s, sigma_{q-k} then clears
+    the threshold by far more than the SVD's own rounding.  A framework with
+    more flex than K (collinear, coincident, too few links) has
+    lambda_min(G) ~ 0 and is left to the SVD.
+    """
+    q, k = kernel.shape
+    # matrix.T of a C-ordered matrix is a Fortran view: dsyrk reads it in place
+    gram = blas.dsyrk(1.0, matrix.T)  # upper triangle of M^T M
+    diag = gram.diagonal()
+    s = float(diag.sum())
+    residual = matrix @ kernel
+    if float(np.einsum("ij,ij->", residual, residual)) > tol**2 * float(diag.max()) / 4:
+        return False
+    gram = blas.dsyrk(s, kernel, beta=1.0, c=gram, overwrite_c=1)
+    shift = (tol**2 + (4 * q * (q + 1) + matrix.shape[0]) * np.finfo(float).eps) * s
+    np.fill_diagonal(gram, gram.diagonal() - shift)
+    _, info = lapack.dpotrf(gram, clean=0, overwrite_a=1)
+    return info == 0
+
+
+def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL, kernel: np.ndarray | None = None) -> int:
+    """Singular values above tol relative to the largest one.
+
+    `kernel` holds q x k orthonormal columns (k < q, q the column count) that
+    the matrix maps to zero, such as the rigid motions of a rigidity matrix.
+    Given it, a certificate (`_certifies_corank`: one Cholesky factorization
+    of M^T M) first tries to prove the rank q - k, and the SVD runs only when
+    it cannot; the answer is the SVD's either way.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     if not np.all(np.isfinite(matrix)):
         raise InvalidInputError("matrix has non-finite entries")
+    if kernel is not None:
+        kernel = np.asarray(kernel, dtype=float)
+        q = matrix.shape[-1]
+        if kernel.ndim != 2 or kernel.shape[0] != q or kernel.shape[1] >= q:
+            raise InvalidInputError(f"kernel must be ({q}, k) with k < {q}, got {kernel.shape}")
+        if not _orthonormal(kernel):
+            raise InvalidInputError("kernel columns must be orthonormal")
     if matrix.size == 0:
         return 0
+    if kernel is not None and _certifies_corank(matrix, kernel, tol):
+        return matrix.shape[1] - kernel.shape[1]
     sv = np.linalg.svd(matrix, compute_uv=False)
     return int(np.count_nonzero(sv > tol * sv[0]))
 
@@ -173,7 +275,8 @@ def is_infinitesimally_rigid(config: SwarmConfig, links: LinkSet, tol: float = R
     """Rank test: a planar framework is infinitesimally rigid iff rank(M) = 2n - 3."""
     if config.n < 2:
         raise InvalidInputError("rigidity test requires n >= 2")
-    return numerical_rank(rigidity_matrix(config, links), tol) == 2 * config.n - 3
+    rank = numerical_rank(rigidity_matrix(config, links), tol, kernel=_motion_kernel(config))
+    return rank == 2 * config.n - 3
 
 
 def are_congruent(a: SwarmConfig, b: SwarmConfig, tol: float = 1e-9) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError, SingularityError
-from .graph import LinkSet, SwarmConfig, compute_links, rigidity_matrix, swarm_center
+from .graph import LinkSet, SwarmConfig, compute_links, rigid_motion_basis, rigidity_matrix
 from .interaction import InteractionFunction
 
 ZERO_TOL = 1e-8
@@ -77,22 +77,6 @@ def laplacian_term(config: SwarmConfig, fn: InteractionFunction, radius: float) 
     links = _links(config, radius)
     h = np.asarray(fn.force(links.lengths), dtype=float) / links.lengths
     return _assemble(config.n, links, h[:, None, None] * np.eye(2))
-
-
-def rigid_motion_basis(config: SwarmConfig) -> np.ndarray:
-    """Orthonormal (2n, 3) basis: x-translation, y-translation, rotation about the center.
-
-    Every column is annihilated exactly by the configuration's rigidity matrix.
-    """
-    if config.n < 2:
-        raise InvalidInputError("basis requires n >= 2")
-    n = config.n
-    tx = np.tile([1.0, 0.0], n)
-    ty = np.tile([0.0, 1.0], n)
-    centered = config.positions - swarm_center(config)
-    rot = np.column_stack([-centered[:, 1], centered[:, 0]]).reshape(-1)
-    basis = np.column_stack([tx / np.linalg.norm(tx), ty / np.linalg.norm(ty), rot / np.linalg.norm(rot)])
-    return basis
 
 
 def _eigensplit(j: np.ndarray, tol_zero: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

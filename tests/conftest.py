@@ -54,3 +54,21 @@ def lattice25():
 @pytest.fixture(scope="session")
 def lattice100():
     return generate_triangular(LatticeSpec(n=100, seed=0, growth="compact"), R_A)
+
+
+@pytest.fixture
+def count_svd_calls(monkeypatch):
+    """Call it to start counting np.linalg.svd calls; it returns the list that records them."""
+
+    def start():
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    return start

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from triswarm import (
+    LatticeSpec,
     SimulationParams,
     SwarmConfig,
     SweepSpec,
     Trajectory,
+    compute_links,
     convergence_study,
     delta_sweep,
     experiments,
+    generate_triangular,
+    graph,
+    is_infinitesimally_rigid,
     is_triangular,
+    link_error,
+    perturb,
     run_trial,
+    simulate,
     trial_seeds,
 )
 from triswarm.errors import IntegrationDivergedError, InvalidInputError
@@ -184,6 +192,39 @@ class TestConvergenceStudy:
             assert record == dataclasses.replace(alone, trial_index=k)
             assert study.series[k][0] == alone.e_initial
             assert study.series[k][-1] == alone.e_final
+
+    def test_series_and_rigidity_equal_per_state_link_passes(self, paper_fn):
+        sim = SimulationParams(horizon=3.0, record_every=10)
+        study = convergence_study(100, 0.35, 3, sim, paper_fn, track_rigidity=True)
+        assert [r.rigidity_preserved for r in study.records] == [True, False, False]
+        for series, record in zip(study.series, study.records):
+            spec = LatticeSpec(n=100, R=sim.R, seed=record.lattice_seed, growth="compact")
+            start = perturb(generate_triangular(spec, sim.R_a), 0.35, record.perturb_seed)
+            states = [SwarmConfig(s) for s in simulate(start, paper_fn, sim).states]
+            assert series.tolist() == [link_error(s, sim.R, sim.R_a) for s in states]
+            flags = [is_infinitesimally_rigid(s, compute_links(s, sim.R_a)) for s in states]
+            assert record.rigidity_preserved == all(flags)
+
+    def test_tracked_trial_link_passes(self, paper_fn, monkeypatch):
+        # the benchmark's tracked trial: 6 recorded states at n = 400
+        passes = []
+        original = graph._pairs_within
+
+        def counted(config, cutoff):
+            passes.append(cutoff)
+            return original(config, cutoff)
+
+        monkeypatch.setattr(graph, "_pairs_within", counted)
+        sim = SimulationParams(dt=0.01, horizon=0.5, record_every=10)
+        study = convergence_study(400, 0.2, 1, sim, paper_fn, track_rigidity=True)
+        assert study.records[0].rigidity_preserved and study.series.shape == (1, 6)
+        assert len(passes) <= 9
+
+    def test_tracked_trial_makes_no_svd_call(self, paper_fn, count_svd_calls):
+        calls = count_svd_calls()
+        record = run_trial(100, 0.1, (3, 4), FAST_SIM, paper_fn, track_rigidity=True)
+        assert record.rigidity_preserved and record.rigid_final
+        assert calls == []
 
     def test_divergence_is_raised(self, paper_fn, monkeypatch):
         def diverge(initial, fn, params, observers=()):

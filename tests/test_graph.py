@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,13 +19,14 @@ from triswarm import (
     links_along,
     numerical_rank,
     perturb,
+    rigid_motion_basis,
     rigidity_matrix,
     saturated_lennard_jones,
     simulate,
     swarm_center,
 )
-from triswarm import graph
-from triswarm.errors import InvalidInputError
+from triswarm import graph, lattice
+from triswarm.errors import DegenerateConfigurationError, InvalidInputError
 
 from .oracles import loop_rigidity_matrix, svd_rank
 
@@ -267,6 +268,101 @@ class TestInfinitesimalRigidity:
             links = compute_links(cfg, radius)
             expected = svd_rank(rigidity_matrix(cfg, links)) == 2 * cfg.n - 3
             assert is_infinitesimally_rigid(cfg, links) == expected
+
+
+def accretion_draw(n, seed):
+    """The sites accretion growth draws, before generate_triangular verifies them."""
+    sites = lattice._grow_sites(n, np.random.default_rng(seed), "accretion")
+    return SwarmConfig(lattice._axial_to_plane(sites, 1.0))
+
+
+def drop_links(links, frac, seed):
+    keep = np.random.default_rng(seed).random(links.m) >= frac
+    return LinkSet(pairs=links.pairs[keep], lengths=links.lengths[keep])
+
+
+class TestCertifiedRank:
+    @pytest.mark.parametrize("drop", [0.0, 0.1])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.35])
+    @pytest.mark.parametrize("growth", ["accretion", "compact"])
+    @pytest.mark.parametrize("n", [3, 25, 100, 400])
+    def test_agrees_with_svd_oracle_on_lattices(self, n, growth, delta, drop):
+        cfg = perturb(generate_triangular(LatticeSpec(n=n, seed=n + 7, growth=growth), R_A), delta, n)
+        links = drop_links(compute_links(cfg, R_A), drop, n)
+        m = rigidity_matrix(cfg, links)
+        expected = svd_rank(m)
+        assert numerical_rank(m, kernel=rigid_motion_basis(cfg)) == expected
+        assert is_infinitesimally_rigid(cfg, links) == (expected == 2 * n - 3)
+
+    def test_generated_lattices_are_certified(self, count_svd_calls):
+        calls = count_svd_calls()
+        for n in (3, 25, 100, 400):
+            cfg = generate_triangular(LatticeSpec(n=n, seed=n, growth="compact"), R_A)
+            assert is_infinitesimally_rigid(cfg, compute_links(cfg, R_A))
+        assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(2, 30),
+        k=st.integers(0, 4),
+        extra=st.integers(0, 2),
+        scale=st.floats(-4.0, 4.0),
+    )
+    def test_planted_kernel(self, seed, q, k, extra, scale):
+        assume(k + extra < q)
+        rng = np.random.default_rng(seed)
+        kernel, _ = np.linalg.qr(rng.normal(size=(q, k)))
+        r = q - k - extra  # rank of the row space before the kernel is projected out
+        a = rng.normal(size=(q + 3, r)) @ rng.normal(size=(r, q)) * 10.0**scale
+        m = a - (a @ kernel) @ kernel.T
+        expected = svd_rank(m)
+        assert numerical_rank(m, kernel=kernel) == numerical_rank(m) == expected
+        wrong, _ = np.linalg.qr(rng.normal(size=(q, max(k, 1))))
+        for bad in (wrong, kernel[:, : k - 1] if k else wrong):
+            assert not graph._certifies_corank(m, bad, graph.RANK_TOL)
+            assert numerical_rank(m, kernel=bad) == expected
+
+    @pytest.mark.parametrize("case", ["square4", "collinear3"])
+    def test_flexible_frameworks_reach_the_svd(self, request, count_svd_calls, case):
+        cfg = request.getfixturevalue(case)
+        links = compute_links(cfg, 1.2)
+        calls = count_svd_calls()
+        assert not is_infinitesimally_rigid(cfg, links)
+        assert len(calls) == 1
+
+    def test_flexible_accretion_draw_reaches_the_svd(self, count_svd_calls):
+        cfg = accretion_draw(100, 844696160)
+        links = compute_links(cfg, R_A)
+        assert svd_rank(rigidity_matrix(cfg, links)) == 196
+        calls = count_svd_calls()
+        assert not is_infinitesimally_rigid(cfg, links)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", [0.0, 0.1])
+    def test_coincident_agents_reach_the_svd(self, count_svd_calls, value):
+        # 0.1: the center rounds off the common point, so the rotation column is noise
+        cfg = SwarmConfig(np.full((4, 2), value))
+        with pytest.raises(DegenerateConfigurationError):
+            rigid_motion_basis(cfg)
+        calls = count_svd_calls()
+        assert not is_infinitesimally_rigid(cfg, compute_links(cfg, R_A))
+        assert len(calls) == 1
+
+    def test_kernel_shape_validated(self, triangle):
+        m = rigidity_matrix(triangle, compute_links(triangle, R_A))
+        basis = rigid_motion_basis(triangle)
+        for bad in (basis[:-1], basis.reshape(-1), np.eye(6)):
+            with pytest.raises(InvalidInputError):
+                numerical_rank(m, kernel=bad)
+
+    def test_kernel_orthonormality_validated(self, triangle):
+        m = rigidity_matrix(triangle, compute_links(triangle, R_A))
+        basis = rigid_motion_basis(triangle)
+        for bad in (2.0 * basis, basis + 1e-11, np.where(basis == basis[0, 0], np.nan, basis)):
+            with pytest.raises(InvalidInputError):
+                numerical_rank(m, kernel=bad)
+        assert numerical_rank(m, kernel=basis + 1e-14) == 3
 
 
 class TestCongruence:

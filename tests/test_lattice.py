@@ -38,6 +38,11 @@ class TestGenerate:
             generate_triangular(LatticeSpec(n=12, seed=5), R_A)
         assert len(calls) == 1
 
+    def test_flexible_accretion_draw_raises(self):
+        # a site pinned by two collinear links, never braced: rank 196, not 197
+        with pytest.raises(GenerationError, match=r"n=100, seed=844696160"):
+            generate_triangular(LatticeSpec(n=100, seed=844696160, growth="accretion"), R_A)
+
     def test_three_agents_is_equilateral(self):
         cfg = generate_triangular(LatticeSpec(n=3, seed=4), R_A)
         d = sorted(
