@@ -44,27 +44,15 @@ def _resolve_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
-    overrides = {}
-    for name in (
-        "delta",
-        "trials",
-        "n",
-        "horizon",
-        "dt",
-        "record_every",
-        "R_a",
-        "R_s",
-        "growth",
-        "out",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides["out_dir" if name == "out" else name] = value
+    # every flag whose dest names a config field overrides it when given
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cfg)
+        if getattr(args, f.name, None) is not None
+    }
     if getattr(args, "seed", None) is not None:
         overrides["lattice_seed"] = args.seed
         overrides["perturb_seed"] = args.seed + 1
-    if getattr(args, "truncate", False):
-        overrides["truncate"] = True
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
@@ -227,49 +215,51 @@ def cmd_rigidity(args) -> int:
     return EXIT_OK
 
 
+def _add_common_options(p) -> None:
+    """Options of every subcommand; each dest but config and seed names an ExperimentConfig field."""
+    p.add_argument("--config", help="config file (section.key = value lines)")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--n", type=int)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--record-every", dest="record_every", type=int)
+    p.add_argument("--R-a", dest="R_a", type=float)
+    p.add_argument("--R-s", dest="R_s", type=float)
+    p.add_argument("--truncate", action="store_true", default=None, help="force exactly zero beyond R_a")
+    p.add_argument(
+        "--growth",
+        choices=["accretion", "compact"],
+        help="lattice growth policy (default: compact)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="triswarm", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="config file (section.key = value lines)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--n", type=int)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--horizon", type=float)
-        p.add_argument("--record-every", dest="record_every", type=int)
-        p.add_argument("--R-a", dest="R_a", type=float)
-        p.add_argument("--R-s", dest="R_s", type=float)
-        p.add_argument("--truncate", action="store_true", help="force exactly zero beyond R_a")
-        p.add_argument(
-            "--growth",
-            choices=["accretion", "compact"],
-            help="lattice growth policy (default: compact)",
-        )
-
     p_sim = sub.add_parser("simulate", help="single trial with full artifacts")
-    common(p_sim)
+    _add_common_options(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="perturbation-radius Monte-Carlo sweep")
-    common(p_sweep)
+    _add_common_options(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_spec = sub.add_parser("spectrum", help="Jacobian spectra over random lattices")
-    common(p_spec)
+    _add_common_options(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_val = sub.add_parser("validate", help="audit the interaction-function assumptions")
-    common(p_val)
+    _add_common_options(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     p_rig = sub.add_parser("rigidity", help="rigidity test for a configuration CSV")
-    common(p_rig)
+    _add_common_options(p_rig)
     p_rig.add_argument("csv", help="configuration CSV (agent,x,y)")
     p_rig.set_defaults(func=cmd_rigidity)
     return parser
@@ -279,8 +269,8 @@ def main(argv=None) -> int:
     # TRISWARM_OUT overrides the output root for all subcommands
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out", None) is None and os.environ.get("TRISWARM_OUT"):
-        args.out = os.environ["TRISWARM_OUT"]
+    if getattr(args, "out_dir", None) is None and os.environ.get("TRISWARM_OUT"):
+        args.out_dir = os.environ["TRISWARM_OUT"]
     try:
         return args.func(args)
     except InvalidInputError as exc:

@@ -83,6 +83,8 @@ def velocities(
     coincident_policy: "zero" drops the contribution of pairs closer than
     1e-12 (counted); "raise" aborts instead.
     """
+    if coincident_policy not in ("zero", "raise"):
+        raise InvalidInputError(f"unknown coincident_policy {coincident_policy!r}")
     n = positions.shape[0]
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -103,18 +105,15 @@ def simulate(
     initial: SwarmConfig,
     fn: InteractionFunction,
     params: SimulationParams,
-    observers=(),
-    coincident_policy: str = "zero",
 ) -> Trajectory:
     """Integrate over the full horizon, recording every record_every steps.
 
     Each recorded state is stored with the control input evaluated on it
     (`Trajectory.inputs`); the final state's input takes one evaluation
-    beyond the n_steps that drive the integration, and neither counts its
-    coincident pairs nor raises on them.  Observers are callables
-    (step_index, time, positions) invoked at every recorded step, including
-    step 0 and the final step.  Deterministic: identical inputs produce
-    bit-identical trajectories.
+    beyond the n_steps that drive the integration and does not count its
+    coincident pairs.  On a non-finite state, IntegrationDivergedError carries
+    the states recorded so far, with their inputs.  Deterministic: identical
+    inputs produce bit-identical trajectories.
     """
     n_steps, stride = params.n_steps, params.record_every
     n_rec = -(-n_steps // stride) + 1  # steps 0, stride, 2 * stride, ... and the last
@@ -126,23 +125,20 @@ def simulate(
     r = 0  # next record
     for k in range(n_steps + 1):
         if k % stride == 0 or k == n_steps:
-            times[r] = t = k * params.dt
+            times[r] = k * params.dt
             states[r] = pos
-            for obs in observers:
-                obs(k, t, pos)
             r += 1
         if k == n_steps:
             inputs[r - 1] = velocities(pos, fn, params.R_s)[0]
             break
-        u, warn = velocities(pos, fn, params.R_s, coincident_policy)
+        u, warn = velocities(pos, fn, params.R_s)
         warn_total += warn
         if k % stride == 0:
             inputs[r - 1] = u
         pos = pos + params.dt * u
         if not np.all(np.isfinite(pos)):
-            raise IntegrationDivergedError(
-                f"diverged at step {k + 1}", snapshot=SwarmConfig(states[r - 1].copy()), step=k + 1
-            )
+            recorded = Trajectory(times[:r], states[:r], params, warn_total, inputs[:r])
+            raise IntegrationDivergedError(f"diverged at step {k + 1}", trajectory=recorded, step=k + 1)
     return Trajectory(
         times=times,
         states=states,

@@ -18,12 +18,20 @@ class DegenerateConfigurationError(TriswarmError):
 
 
 class IntegrationDivergedError(TriswarmError):
-    """Simulation produced non-finite state."""
+    """Simulation produced non-finite state.
 
-    def __init__(self, message, snapshot=None, step=None):
+    `trajectory` holds what was recorded before the divergence (each state
+    with its input); `snapshot` is its last state.
+    """
+
+    def __init__(self, message, trajectory=None, step=None):
         super().__init__(message)
-        self.snapshot = snapshot
+        self.trajectory = trajectory
         self.step = step
+
+    @property
+    def snapshot(self):
+        return None if self.trajectory is None else self.trajectory.final
 
 
 class GenerationError(TriswarmError):

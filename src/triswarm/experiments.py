@@ -16,9 +16,9 @@ import numpy as np
 
 from .dynamics import SimulationParams, simulate
 from .errors import IntegrationDivergedError, InvalidInputError
-from .graph import SwarmConfig, is_infinitesimally_rigid, links_along
+from .graph import is_infinitesimally_rigid, links_along
 from .interaction import InteractionFunction
-from .lattice import LatticeSpec, _max_deviation, generate_triangular, is_triangular, link_error, perturb
+from .lattice import LatticeSpec, _max_deviation, generate_triangular, is_triangular, perturb
 from .serialize import fmt, write_json
 
 #: Terminal link-length error below which a trial counts as converged.
@@ -94,55 +94,58 @@ def run_trial(
     fn: InteractionFunction,
     track_rigidity: bool = False,
     growth: str = "compact",
-    observers=(),
 ) -> TrialRecord:
-    """Generate a lattice, perturb it, simulate, and score the terminal state.
+    """Generate a lattice, perturb it, simulate, and score the terminal state."""
+    return _trial(n, delta, seeds, sim, fn, track_rigidity, growth)[0]
 
-    `observers` are passed on to `simulate`, after the rigidity tracker.  The
-    tracker tests every recorded state (those before a divergence too), with
-    the links of one `links_along` pass over them.
+
+def _trial(n, delta, seeds, sim, fn, track_rigidity, growth, series=False):
+    """Run one trial and score it from the trajectory `simulate` returns.
+
+    A diverged trial is scored from the recorded prefix its error carries.
+    One `links_along` pass over the recorded states gives e_initial (first
+    state) and, when asked for, the link error of every state (`series`) and
+    the rigidity test of every state but the last, whose rigidity is that of
+    the final report.  A trial that asks for neither walks its first state
+    only.  Returns the record, the recorded times and the link errors.
     """
     lattice_seed, perturb_seed = seeds
     lattice = generate_triangular(
         LatticeSpec(n=n, R=sim.R, seed=lattice_seed, growth=growth), sim.R_a
     )
     initial = perturb(lattice, delta, perturb_seed)
-    e_initial = link_error(initial, sim.R, sim.R_a)
     diverged = False
-    recorded: list[np.ndarray] = []
-    trackers = []
-    if track_rigidity:
-        def record(step, t, positions):
-            recorded.append(positions.copy())
-        trackers.append(record)
     try:
-        traj = simulate(initial, fn, sim, observers=[*trackers, *observers])
-        final = traj.final
+        traj = simulate(initial, fn, sim)
     except IntegrationDivergedError as exc:
-        diverged = True
-        final = exc.snapshot
-    rigidity_preserved = None
-    if track_rigidity:
-        links = links_along(recorded, sim.R_a)
-        flags = [is_infinitesimally_rigid(SwarmConfig(p), ls) for p, ls in zip(recorded, links)]
-        rigidity_preserved = all(flags)
-    report = is_triangular(final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)
+        diverged, traj = True, exc.trajectory
+        series = False  # convergence_study raises instead
+    last = len(traj.states) - 1
+    states = traj.states if series or track_rigidity else traj.states[:1]
+    errors, flags = [], []
+    for k, links in enumerate(links_along(states, sim.R_a)):
+        if k == 0 or series:
+            errors.append(_max_deviation(links, sim.R))
+        if track_rigidity and k < last:
+            flags.append(is_infinitesimally_rigid(traj.config(k), links))
+    report = is_triangular(traj.final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)
     e_final = report.max_length_deviation  # inf when no links remain
     rigid = report.rigid
     converged = (not diverged) and rigid and e_final <= CONVERGENCE_E
-    return TrialRecord(
+    record = TrialRecord(
         delta=float(delta),
         trial_index=-1,
         lattice_seed=lattice_seed,
         perturb_seed=perturb_seed,
-        e_initial=e_initial,
+        e_initial=errors[0],
         e_final=e_final,
         rigid_final=rigid,
         triangular_final=report.ok,
         converged=converged,
         diverged=diverged,
-        rigidity_preserved=rigidity_preserved,
+        rigidity_preserved=(all(flags) and rigid) if track_rigidity else None,
     )
+    return record, traj.times, errors
 
 
 def _run_one(task) -> TrialRecord:
@@ -215,24 +218,18 @@ def convergence_study(
     for ti in range(trials):
         ls, _ = trial_seeds(lattice_seed_base, 0, ti)
         _, ps = trial_seeds(perturb_seed_base, 0, ti)
-        times, states = [], []
-
-        def observe(step, t, positions):
-            times.append(t)
-            states.append(positions.copy())
-
-        record = run_trial(
-            n, delta, (ls, ps), sim, fn, track_rigidity, growth, observers=[observe]
+        record, times, errors = _trial(
+            n, delta, (ls, ps), sim, fn, track_rigidity, growth, series=True
         )
         if record.diverged:
             raise IntegrationDivergedError(
                 f"trial {ti} diverged (lattice seed {ls}, perturb seed {ps})"
             )
         records.append(replace(record, trial_index=ti))
-        all_series.append([_max_deviation(links, sim.R) for links in links_along(states, sim.R_a)])
+        all_series.append(errors)
     series = np.asarray(all_series)
     return ConvergenceStudy(
-        times=np.asarray(times),
+        times=times,
         series=series,
         mean=series.mean(axis=0),
         min=series.min(axis=0),

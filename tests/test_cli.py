@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +24,9 @@ from triswarm import (
     simulate,
     swarm_center,
 )
+from triswarm import cli
 from triswarm.cli import main
+from triswarm.config import ExperimentConfig
 from triswarm.errors import SingularityError
 from triswarm.serialize import write_config_csv
 
@@ -244,3 +248,21 @@ class TestRigidity:
         assert run(["rigidity", str(path)]) == 0
         out = capsys.readouterr().out
         assert "infinitesimally_rigid=False" in out
+
+
+class TestOptions:
+    def test_common_flags_name_config_fields(self):
+        parser = argparse.ArgumentParser()
+        cli._add_common_options(parser)
+        dests = {action.dest for action in parser._actions} - {"help", "config", "seed"}
+        assert dests <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_absent_flags_keep_file_values(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("interaction.truncate = true\noutput.dir = from-file\n")
+        parser = cli.build_parser()
+        resolved = cli._resolve_config(parser.parse_args(["validate", "--config", str(cfg)]))
+        assert resolved.truncate is True and resolved.out_dir == "from-file"
+        resolved = cli._resolve_config(parser.parse_args(["validate", "--truncate", "--out", "o"]))
+        assert resolved.truncate is True and resolved.out_dir == "o"
+        assert cli._resolve_config(parser.parse_args(["validate"])) == ExperimentConfig()

@@ -17,6 +17,7 @@ from triswarm import (
     graph,
     is_infinitesimally_rigid,
     is_triangular,
+    lattice,
     link_error,
     perturb,
     run_trial,
@@ -26,7 +27,38 @@ from triswarm import (
 from triswarm.errors import IntegrationDivergedError, InvalidInputError
 from triswarm.experiments import CONVERGENCE_E, write_series_csv, write_sweep_csv
 
+from .test_dynamics import exploding_profile, runaway_profile
+
 FAST_SIM = SimulationParams(horizon=2.0, record_every=20)
+
+
+@pytest.fixture
+def dense_passes(monkeypatch):
+    """Cutoffs of the dense pair passes (`graph._pairs_within`) made from here on."""
+    passes = []
+    original = graph._pairs_within
+
+    def counted(config, cutoff):
+        passes.append(cutoff)
+        return original(config, cutoff)
+
+    monkeypatch.setattr(graph, "_pairs_within", counted)
+    return passes
+
+
+@pytest.fixture
+def rank_tests(monkeypatch):
+    """Shapes of the matrices passed to `numerical_rank` from here on."""
+    calls = []
+    original = graph.numerical_rank
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    for module in (graph, lattice):
+        monkeypatch.setattr(module, "numerical_rank", counted)
+    return calls
 
 
 class TestTrialSeeds:
@@ -75,7 +107,7 @@ class TestRunTrial:
         assert rec.rigidity_preserved is True
 
     def test_final_state_without_links_scores_infinite(self, paper_fn, monkeypatch):
-        def scattered(initial, fn, sim, observers=()):
+        def scattered(initial, fn, sim):
             states = np.stack([initial.positions, 10.0 * initial.positions])
             return Trajectory(times=np.array([0.0, sim.dt]), states=states, params=sim)
 
@@ -84,21 +116,24 @@ class TestRunTrial:
         assert rec.e_final == float("inf")
         assert not rec.rigid_final and not rec.converged
 
-    def test_final_state_scored_by_one_link_pass(self, paper_fn, monkeypatch):
-        real = experiments.link_error
-        calls = []
+    def test_final_state_scored_by_one_link_pass(self, paper_fn, dense_passes, rank_tests):
+        rec = run_trial(10, 0.05, (1, 2), FAST_SIM, paper_fn)
+        # the lattice check, e_initial from the first recorded state, the final report
+        assert len(dense_passes) == 3
+        assert len(rank_tests) == 2  # the lattice check and the final report
+        spec = LatticeSpec(n=10, R=FAST_SIM.R, seed=1, growth="compact")
+        start = perturb(generate_triangular(spec, FAST_SIM.R_a), 0.05, 2)
+        final = simulate(start, paper_fn, FAST_SIM).final
+        assert rec.e_final == link_error(final, FAST_SIM.R, FAST_SIM.R_a)
+        assert rec.e_initial == link_error(start, FAST_SIM.R, FAST_SIM.R_a)
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(experiments, "link_error", counted)
-        last = []
-        rec = run_trial(
-            10, 0.05, (1, 2), FAST_SIM, paper_fn, observers=[lambda k, t, pos: last.append(pos.copy())]
-        )
-        assert len(calls) == 1  # e_initial only; e_final comes from is_triangular
-        assert rec.e_final == real(SwarmConfig(last[-1]), FAST_SIM.R, FAST_SIM.R_a)
+    def test_diverged_trial_scores_the_recorded_prefix(self):
+        # the exploding profile diverges on the first step: the prefix is the start
+        sim = SimulationParams(horizon=0.1, record_every=1)
+        rec = run_trial(10, 0.05, (1, 2), sim, exploding_profile(), track_rigidity=True)
+        assert rec.diverged and not rec.converged
+        assert rec.e_final == rec.e_initial
+        assert rec.rigid_final and rec.rigidity_preserved is True
 
 
 @pytest.fixture(scope="module")
@@ -205,20 +240,15 @@ class TestConvergenceStudy:
             flags = [is_infinitesimally_rigid(s, compute_links(s, sim.R_a)) for s in states]
             assert record.rigidity_preserved == all(flags)
 
-    def test_tracked_trial_link_passes(self, paper_fn, monkeypatch):
+    def test_tracked_trial_link_passes(self, paper_fn, dense_passes, rank_tests):
         # the benchmark's tracked trial: 6 recorded states at n = 400
-        passes = []
-        original = graph._pairs_within
-
-        def counted(config, cutoff):
-            passes.append(cutoff)
-            return original(config, cutoff)
-
-        monkeypatch.setattr(graph, "_pairs_within", counted)
         sim = SimulationParams(dt=0.01, horizon=0.5, record_every=10)
         study = convergence_study(400, 0.2, 1, sim, paper_fn, track_rigidity=True)
         assert study.records[0].rigidity_preserved and study.series.shape == (1, 6)
-        assert len(passes) <= 9
+        # the lattice check, one links_along pass over the recorded states, the final report
+        assert len(dense_passes) == 3
+        # the lattice check, the 5 states before the last, the final report
+        assert len(rank_tests) == 7
 
     def test_tracked_trial_makes_no_svd_call(self, paper_fn, count_svd_calls):
         calls = count_svd_calls()
@@ -227,12 +257,19 @@ class TestConvergenceStudy:
         assert calls == []
 
     def test_divergence_is_raised(self, paper_fn, monkeypatch):
-        def diverge(initial, fn, params, observers=()):
-            raise IntegrationDivergedError("diverged at step 1", snapshot=initial, step=1)
+        def diverge(initial, fn, params):
+            start = Trajectory(times=np.zeros(1), states=initial.positions[None], params=params)
+            raise IntegrationDivergedError("diverged at step 1", trajectory=start, step=1)
 
         monkeypatch.setattr(experiments, "simulate", diverge)
         with pytest.raises(IntegrationDivergedError):
             convergence_study(10, 0.1, 2, FAST_SIM, paper_fn)
+
+    def test_divergence_after_links_break_is_raised(self):
+        # the recorded state after the first step has no links, so it has no link error
+        sim = SimulationParams(R_s=50.0, horizon=1.0, record_every=1)
+        with pytest.raises(IntegrationDivergedError):
+            convergence_study(10, 0.0, 1, sim, runaway_profile())
 
     def test_series_csv(self, paper_fn, tmp_path):
         study = convergence_study(10, 0.1, 2, FAST_SIM, paper_fn)
