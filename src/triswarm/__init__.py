@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .graph import (
     LinkSet,
     SwarmConfig,
-    are_congruent,
     compute_links,
     incidence_matrix,
     is_infinitesimally_rigid,
@@ -62,7 +61,6 @@ from .linearization import (
     analyze_configuration,
     jacobian,
     kernel_principal_angles,
-    laplacian_term,
     spectral_analysis,
 )
 from .experiments import (

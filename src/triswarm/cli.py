@@ -24,6 +24,7 @@ from .diagnostics import dissipation_check, energy_series
 from .dynamics import center_drift, simulate
 from .errors import IntegrationDivergedError, InvalidInputError, SingularityError
 from .experiments import (
+    CONVERGENCE_E,
     SweepSpec,
     delta_sweep,
     trial_seeds,
@@ -89,7 +90,7 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(traj, outdir / "trajectory.csv")
 
     final = traj.final
-    report = is_triangular(final, cfg.R, cfg.R_a, tol_len=1e-3)
+    report = is_triangular(final, cfg.R, cfg.R_a, tol_len=CONVERGENCE_E)
     e_final = report.max_length_deviation
     if params.record_every == 1:
         diss = dissipation_check(traj, fn, params)

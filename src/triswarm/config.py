@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import get_args, get_origin, get_type_hints
@@ -21,7 +20,7 @@ from .interaction import (
     LennardJonesParams,
     saturated_lennard_jones,
 )
-from .lattice import GROWTH_POLICIES
+from .lattice import LatticeSpec
 
 
 _LJ = LennardJonesParams()
@@ -58,21 +57,17 @@ class ExperimentConfig:
     out_dir: str = _key("output.dir", "triswarm-out")
 
     def validate(self) -> None:
-        root = (self.a / self.b) ** (1.0 / self.c)
-        if abs(root - self.R) > 1e-9 * self.R:
+        """Build what the config describes; their constructors check every range.
+
+        Only the rules no constructor states are checked here.
+        """
+        fn = self.interaction()
+        self.simulation_params()
+        LatticeSpec(n=self.n, R=self.R, growth=self.growth)
+        if abs(fn.R - self.R) > 1e-9 * self.R:
             raise InvalidInputError(
-                f"R={self.R} inconsistent with force root (a/b)^(1/c)={root:.12g}"
+                f"R={self.R} inconsistent with force root (a/b)^(1/c)={fn.R:.12g}"
             )
-        if not (self.R < self.R_a < self.R * math.sqrt(3.0)):
-            raise InvalidInputError(
-                f"R_a={self.R_a} must lie strictly between R and R*sqrt(3)={self.R * math.sqrt(3.0):.12g}"
-            )
-        if self.R_s < self.R_a:
-            raise InvalidInputError("R_s must be >= R_a")
-        if self.dt <= 0 or self.horizon < self.dt:
-            raise InvalidInputError("need dt > 0 and horizon >= dt")
-        if self.n < 3:
-            raise InvalidInputError("n must be >= 3 (smallest triangular lattice)")
         if self.delta < 0 or any(d < 0 for d in self.delta_grid):
             raise InvalidInputError("perturbation radii must be non-negative")
         if self.trials < 1:
@@ -83,10 +78,6 @@ class ExperimentConfig:
             )
         if self.spectrum_seeds_per_n < 1:
             raise InvalidInputError("spectrum.seeds_per_n must be >= 1")
-        if self.growth not in GROWTH_POLICIES:
-            raise InvalidInputError(
-                f"unknown growth policy {self.growth!r}; choose from {sorted(GROWTH_POLICIES)}"
-            )
 
     def interaction(self) -> InteractionFunction:
         return saturated_lennard_jones(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationDivergedError, InvalidInputError
-from .graph import SwarmConfig
+from .errors import IntegrationDivergedError, InvalidInputError
+from .graph import SwarmConfig, pair_geometry
 from .interaction import R_A_DEFAULT, InteractionFunction
 
 COINCIDENCE_EPS = 1e-12
@@ -21,14 +21,13 @@ COINCIDENCE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Geometry, integration and reproducibility parameters of one run."""
+    """Geometry and integration parameters of one run."""
 
     R: float = 1.0
     R_a: float = R_A_DEFAULT
     R_s: float = 3.0
     dt: float = 0.01
     horizon: float = 20.0
-    seed: int = 0
     record_every: int = 1
 
     def __post_init__(self):
@@ -72,27 +71,17 @@ class Trajectory:
         return self.config(len(self.times) - 1)
 
 
-def velocities(
-    positions: np.ndarray,
-    fn: InteractionFunction,
-    r_s: float,
-    coincident_policy: str = "zero",
-) -> tuple[np.ndarray, int]:
+def velocities(positions: np.ndarray, fn: InteractionFunction, r_s: float) -> tuple[np.ndarray, int]:
     """Control inputs of all agents, plus the count of coincident pairs skipped.
 
-    coincident_policy: "zero" drops the contribution of pairs closer than
-    1e-12 (counted); "raise" aborts instead.
+    Pairs closer than COINCIDENCE_EPS have no direction; their contribution
+    is dropped and they are counted.
     """
-    if coincident_policy not in ("zero", "raise"):
-        raise InvalidInputError(f"unknown coincident_policy {coincident_policy!r}")
     n = positions.shape[0]
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    diff, dist = pair_geometry(positions)
     np.fill_diagonal(dist, np.inf)
     coincident = dist < COINCIDENCE_EPS
     warn = int(np.count_nonzero(coincident)) // 2
-    if warn and coincident_policy == "raise":
-        raise DomainError(f"{warn} coincident agent pair(s)")
     mask = (dist <= r_s) & ~coincident
     weights = np.zeros((n, n))
     z = dist[mask]

@@ -19,7 +19,7 @@ from .errors import IntegrationDivergedError, InvalidInputError
 from .graph import is_infinitesimally_rigid, links_along
 from .interaction import InteractionFunction
 from .lattice import LatticeSpec, _max_deviation, generate_triangular, is_triangular, perturb
-from .serialize import fmt, write_json
+from .serialize import fmt
 
 #: Terminal link-length error below which a trial counts as converged.
 CONVERGENCE_E = 1e-3
@@ -254,19 +254,3 @@ def write_sweep_csv(result: SweepResult, outdir) -> None:
             writer.writerow(
                 [fmt(r.delta), r.trial_index, r.lattice_seed, r.perturb_seed, fmt(r.e_final), int(r.rigid_final), int(r.converged)]
             )
-
-
-def write_series_csv(study: ConvergenceStudy, outdir) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for k in range(study.series.shape[0]):
-        with open(outdir / f"series_{k}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "e"])
-            for t, e in zip(study.times, study.series[k]):
-                writer.writerow([fmt(t), fmt(e)])
-    with open(outdir / "series_envelope.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "e_mean", "e_min", "e_max"])
-        for t, m, lo, hi in zip(study.times, study.mean, study.min, study.max):
-            writer.writerow([fmt(t), fmt(m), fmt(lo), fmt(hi)])

@@ -1,7 +1,7 @@
 """Combinatorial and metric structure of a swarm configuration.
 
 Links within the maximum link length, incidence and rigidity matrices,
-rigid-motion basis, rank-based infinitesimal rigidity test, congruence test.
+rigid-motion basis, rank-based infinitesimal rigidity test.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ class LinkSet:
         return self.pairs.shape[0]
 
 
-def pairwise_distances(config: SwarmConfig) -> np.ndarray:
-    """Full n x n Euclidean distance matrix."""
-    diff = config.positions[:, None, :] - config.positions[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def pair_geometry(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense pair pass: (n, n, 2) differences x_i - x_j and the n x n distance matrix."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    return diff, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 #: Verlet skin of `links_along` (Verlet 1967, neighbour lists): candidates are
@@ -84,7 +84,7 @@ SKIN = 0.5
 
 def _pairs_within(config: SwarmConfig, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Pairs i < j at distance <= cutoff, lexicographic, and their distances."""
-    dist = pairwise_distances(config)
+    _, dist = pair_geometry(config.positions)
     iu, ju = np.triu_indices(config.n, k=1)
     within = dist[iu, ju] <= cutoff
     # triu_indices is already lexicographic in (i, j)
@@ -92,7 +92,7 @@ def _pairs_within(config: SwarmConfig, cutoff: float) -> tuple[np.ndarray, np.nd
 
 
 def _lengths(positions: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Distances of the given pairs, rounded as pairwise_distances rounds them."""
+    """Distances of the given pairs, rounded as pair_geometry rounds them."""
     diff = positions[pairs[:, 0]] - positions[pairs[:, 1]]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
@@ -271,21 +271,16 @@ def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL, kernel: np.ndarray
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def is_infinitesimally_rigid(config: SwarmConfig, links: LinkSet, tol: float = RANK_TOL) -> bool:
-    """Rank test: a planar framework is infinitesimally rigid iff rank(M) = 2n - 3."""
+def rigidity_rank(config: SwarmConfig, links: LinkSet, tol: float = RANK_TOL) -> int:
+    """Numerical rank of the rigidity matrix, with the rigid motions as its known kernel."""
     if config.n < 2:
         raise InvalidInputError("rigidity test requires n >= 2")
-    rank = numerical_rank(rigidity_matrix(config, links), tol, kernel=_motion_kernel(config))
-    return rank == 2 * config.n - 3
+    return numerical_rank(rigidity_matrix(config, links), tol, kernel=_motion_kernel(config))
 
 
-def are_congruent(a: SwarmConfig, b: SwarmConfig, tol: float = 1e-9) -> bool:
-    """True iff all pairwise inter-agent distances agree within tol."""
-    if a.n != b.n:
-        raise InvalidInputError(f"size mismatch: {a.n} vs {b.n}")
-    da = pairwise_distances(a)
-    db = pairwise_distances(b)
-    return bool(np.max(np.abs(da - db), initial=0.0) <= tol)
+def is_infinitesimally_rigid(config: SwarmConfig, links: LinkSet, tol: float = RANK_TOL) -> bool:
+    """Rank test: a planar framework is infinitesimally rigid iff rank(M) = 2n - 3."""
+    return rigidity_rank(config, links, tol) == 2 * config.n - 3
 
 
 def swarm_center(config: SwarmConfig) -> np.ndarray:

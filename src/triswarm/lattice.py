@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, GenerationError, InvalidInputError
-from .graph import (
-    RANK_TOL,
-    LinkSet,
-    SwarmConfig,
-    _motion_kernel,
-    compute_links,
-    numerical_rank,
-    rigidity_matrix,
-)
+from .graph import RANK_TOL, LinkSet, SwarmConfig, compute_links, rigidity_rank
 
 AXIAL_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
@@ -145,11 +137,9 @@ def is_triangular(
     if tol_len is None:
         tol_len = 1e-6 * r
     links = compute_links(config, r_a)
-    rank = 0
-    if config.n >= 2:
-        rank = numerical_rank(rigidity_matrix(config, links), tol_rank, kernel=_motion_kernel(config))
+    rank = rigidity_rank(config, links, tol_rank) if config.n >= 2 else 0
     rigid = rank == 2 * config.n - 3
-    deviation = float(np.max(np.abs(links.lengths - r), initial=0.0)) if links.m else math.inf
+    deviation = _max_deviation(links, r) if links.m else math.inf
     ok = rigid and links.m > 0 and deviation <= tol_len
     return TriangularityReport(
         ok=ok,

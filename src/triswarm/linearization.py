@@ -68,17 +68,6 @@ def jacobian(config: SwarmConfig, fn: InteractionFunction, radius: float) -> np.
     return _jacobian(config, _links(config, radius), fn)
 
 
-def laplacian_term(config: SwarmConfig, fn: InteractionFunction, radius: float) -> np.ndarray:
-    """The h(z) I part of the Jacobian alone: a weighted graph Laplacian.
-
-    Exactly the zero matrix on any configuration whose links all sit at the
-    force root, since the weights are f(z)/z.
-    """
-    links = _links(config, radius)
-    h = np.asarray(fn.force(links.lengths), dtype=float) / links.lengths
-    return _assemble(config.n, links, h[:, None, None] * np.eye(2))
-
-
 def _eigensplit(j: np.ndarray, tol_zero: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues (descending), orthonormal eigenvectors and zero mask of a symmetric j.
 

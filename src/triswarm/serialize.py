@@ -51,13 +51,5 @@ def write_trajectory_csv(traj, path) -> None:
             fh.write("".join(f"{ts},{i},{x:.17g},{y:.17g}\r\n" for i, (x, y) in enumerate(state.tolist())))
 
 
-def config_to_json(config: SwarmConfig) -> str:
-    return json.dumps({"positions": config.positions.tolist()})
-
-
-def config_from_json(text: str) -> SwarmConfig:
-    return SwarmConfig(np.asarray(json.loads(text)["positions"], dtype=float))
-
-
 def write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -106,12 +106,6 @@ def loop_jacobian(positions, pairs, lengths, fn):
     return _loop_assemble(len(positions), pairs, block)
 
 
-def loop_laplacian_term(positions, pairs, lengths, fn):
-    """The h(z) I part of loop_jacobian."""
-    f = np.asarray(fn.force(lengths), dtype=float)
-    return _loop_assemble(len(positions), pairs, lambda e, a, b: (f[e] / lengths[e]) * np.eye(2))
-
-
 def eig_spectral_analysis(j, rigidity, tol_zero=1e-8):
     """Spectrum classification from the general (complex) eigensolve, one eigenvector at a time.
 

@@ -167,6 +167,16 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg)]) == 0
         assert (tmp_path / "envout" / "sweep_summary.csv").exists()
 
+    def test_zero_record_every_rejected(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "experiment.n = 10\nexperiment.trials = 1\n"
+            "experiment.delta_grid = 0.0\nsimulation.horizon = 0.1\n"
+        )
+        argv = ["sweep", "--config", str(cfg), "--record-every", "0", "--jobs", "1"]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestSpectrum:
     def test_batch_rows(self, tmp_path):
@@ -233,6 +243,12 @@ class TestValidate:
 
     def test_truncated_profile_passes(self):
         assert run(["validate", "--truncate"]) == 0
+
+    def test_zero_force_coefficient_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "b0.cfg"
+        cfg.write_text("interaction.b = 0\n")
+        assert run(["validate", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestRigidity:

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ from triswarm import (
 from triswarm.config import ExperimentConfig, load_config, parse_config_text
 from triswarm.errors import InvalidInputError
 from triswarm.serialize import (
-    config_from_json,
-    config_to_json,
     read_config_csv,
     write_config_csv,
     write_trajectory_csv,
@@ -53,11 +50,21 @@ class TestExperimentConfig:
             dict(spectrum_n_values=()),
             dict(spectrum_n_values=(3, 2)),
             dict(spectrum_seeds_per_n=0),
+            dict(b=0.0),  # no force root
+            dict(c=0),
+            dict(a=-0.5),  # complex force root
+            dict(saturation=-1.0),
+            dict(record_every=0),
         ],
     )
     def test_validation_rejects(self, kwargs):
         with pytest.raises(InvalidInputError):
             dataclasses.replace(ExperimentConfig(), **kwargs).validate()
+
+    def test_negative_coefficient_is_named(self):
+        # not reported as a mismatch with a complex "force root"
+        with pytest.raises(InvalidInputError, match="a and b must be positive"):
+            dataclasses.replace(ExperimentConfig(), a=-0.5).validate()
 
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig()
@@ -191,11 +198,6 @@ class TestSerialize:
         path.write_text("agent,x,y\n")
         with pytest.raises(InvalidInputError):
             read_config_csv(path)
-
-    def test_config_json_roundtrip(self):
-        cfg = SwarmConfig(np.array([[0.25, -1.5], [2.0, 3.0]]))
-        back = config_from_json(config_to_json(cfg))
-        np.testing.assert_array_equal(back.positions, cfg.positions)
 
     def test_trajectory_csv_layout(self, tmp_path, paper_fn):
         cfg = SwarmConfig(np.array([[0.0, 0.0], [1.2, 0.0]]))

@@ -15,7 +15,7 @@ from triswarm import (
     simulate,
     velocities,
 )
-from triswarm.errors import DomainError, IntegrationDivergedError, InvalidInputError
+from triswarm.errors import IntegrationDivergedError, InvalidInputError
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 
@@ -91,17 +91,11 @@ class TestControlInput:
         assert np.linalg.norm(u[0]) <= 1e-15
 
     def test_coincident_policy(self, paper_fn):
+        # a coincident pair has no direction: its contribution is dropped and counted
         cfg = SwarmConfig(np.zeros((2, 2)))
         u, warn = velocities(cfg.positions, paper_fn, 3.0)
         assert warn == 1
         np.testing.assert_array_equal(u, 0.0)
-        with pytest.raises(DomainError):
-            velocities(cfg.positions, paper_fn, 3.0, coincident_policy="raise")
-
-    def test_unknown_coincident_policy_raises(self, paper_fn):
-        # a misspelt "raise" must not fall back to dropping coincident pairs
-        with pytest.raises(InvalidInputError):
-            velocities(np.zeros((2, 2)), paper_fn, 3.0, coincident_policy="Raise")
 
     def test_action_reaction_exact(self, paper_fn):
         rng = np.random.default_rng(11)

@@ -17,7 +17,6 @@ from triswarm import (
     graph,
     is_infinitesimally_rigid,
     is_triangular,
-    lattice,
     link_error,
     perturb,
     run_trial,
@@ -25,7 +24,7 @@ from triswarm import (
     trial_seeds,
 )
 from triswarm.errors import IntegrationDivergedError, InvalidInputError
-from triswarm.experiments import CONVERGENCE_E, write_series_csv, write_sweep_csv
+from triswarm.experiments import CONVERGENCE_E, write_sweep_csv
 
 from .test_dynamics import exploding_profile, runaway_profile
 
@@ -56,8 +55,7 @@ def rank_tests(monkeypatch):
         calls.append(np.shape(matrix))
         return original(matrix, *args, **kwargs)
 
-    for module in (graph, lattice):
-        monkeypatch.setattr(module, "numerical_rank", counted)
+    monkeypatch.setattr(graph, "numerical_rank", counted)
     return calls
 
 
@@ -270,12 +268,3 @@ class TestConvergenceStudy:
         sim = SimulationParams(R_s=50.0, horizon=1.0, record_every=1)
         with pytest.raises(IntegrationDivergedError):
             convergence_study(10, 0.0, 1, sim, runaway_profile())
-
-    def test_series_csv(self, paper_fn, tmp_path):
-        study = convergence_study(10, 0.1, 2, FAST_SIM, paper_fn)
-        write_series_csv(study, tmp_path)
-        assert (tmp_path / "series_0.csv").exists()
-        assert (tmp_path / "series_1.csv").exists()
-        envelope = (tmp_path / "series_envelope.csv").read_text().splitlines()
-        assert envelope[0] == "t,e_mean,e_min,e_max"
-        assert len(envelope) == len(study.times) + 1

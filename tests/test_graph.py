@@ -11,7 +11,6 @@ from triswarm import (
     LinkSet,
     SimulationParams,
     SwarmConfig,
-    are_congruent,
     compute_links,
     generate_triangular,
     incidence_matrix,
@@ -363,31 +362,6 @@ class TestCertifiedRank:
             with pytest.raises(InvalidInputError):
                 numerical_rank(m, kernel=bad)
         assert numerical_rank(m, kernel=basis + 1e-14) == 3
-
-
-class TestCongruence:
-    def test_translation(self, lattice25):
-        moved = SwarmConfig(lattice25.positions + np.array([5.0, -3.0]))
-        assert are_congruent(lattice25, moved)
-
-    def test_rotation_about_center(self, triangle):
-        th = math.radians(30.0)
-        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        c = swarm_center(triangle)
-        rotated = SwarmConfig((triangle.positions - c) @ rot.T + c)
-        assert are_congruent(triangle, rotated)
-
-    def test_scaling_breaks_congruence(self, triangle):
-        assert not are_congruent(triangle, SwarmConfig(1.5 * triangle.positions))
-
-    def test_reflexive_symmetric(self, square4, triangle):
-        assert are_congruent(square4, square4)
-        moved = SwarmConfig(triangle.positions + 1.0)
-        assert are_congruent(triangle, moved) == are_congruent(moved, triangle)
-
-    def test_size_mismatch(self, triangle, square4):
-        with pytest.raises(InvalidInputError):
-            are_congruent(triangle, square4)
 
 
 class TestSwarmCenter:

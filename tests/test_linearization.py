@@ -12,7 +12,6 @@ from triswarm import (
     generate_triangular,
     jacobian,
     kernel_principal_angles,
-    laplacian_term,
     perturb,
     rigid_motion_basis,
     rigidity_matrix,
@@ -26,7 +25,6 @@ from .oracles import (
     eig_spectral_analysis,
     finite_difference_jacobian,
     loop_jacobian,
-    loop_laplacian_term,
 )
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
@@ -75,10 +73,6 @@ class TestJacobianAssembly:
         with pytest.raises(SingularityError):
             jacobian(cfg, paper_fn, R_A)
 
-    def test_laplacian_term_rejects_zero_length_link(self, paper_fn):
-        with pytest.raises(SingularityError):
-            laplacian_term(SwarmConfig(np.zeros((2, 2))), paper_fn, R_A)
-
     @pytest.mark.parametrize("profile", ["paper_fn", "truncated_fn"])
     @pytest.mark.parametrize("n", [3, 25, 100])
     @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5])
@@ -88,7 +82,6 @@ class TestJacobianAssembly:
         links = compute_links(cfg, R_A)
         args = (cfg.positions, links.pairs, links.lengths, fn)
         assert np.array_equal(jacobian(cfg, fn, R_A), loop_jacobian(*args))
-        assert np.array_equal(laplacian_term(cfg, fn, R_A), loop_laplacian_term(*args))
 
     @pytest.mark.parametrize("profile", ["paper_fn", "truncated_fn"])
     def test_no_links_gives_zero_matrix(self, request, profile):
@@ -96,15 +89,19 @@ class TestJacobianAssembly:
         cfg = SwarmConfig(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
         links = compute_links(cfg, R_A)
         args = (cfg.positions, links.pairs, links.lengths, fn)
-        for assembled, loop in ((jacobian, loop_jacobian), (laplacian_term, loop_laplacian_term)):
-            j = assembled(cfg, fn, R_A)
-            assert np.array_equal(j, np.zeros((6, 6)))
-            assert np.array_equal(j, loop(*args))
+        j = jacobian(cfg, fn, R_A)
+        assert np.array_equal(j, np.zeros((6, 6)))
+        assert np.array_equal(j, loop_jacobian(*args))
 
-    def test_laplacian_term_tiny_at_lattices(self, paper_fn, lattice25):
-        # measured link lengths sit within one ulp of the root, so the term
-        # is rounding-level rather than exactly zero
-        assert np.abs(laplacian_term(lattice25, paper_fn, R_A)).max() <= 1e-13
+    def test_laplacian_term_tiny_at_lattices(self, paper_fn, truncated_fn, lattice25):
+        # with every link at the force root the h(z) I term vanishes and the
+        # Jacobian is f'(R) / R^2 M^T M; measured link lengths sit within one
+        # ulp of the root, so the remainder is rounding-level, not zero
+        m = rigidity_matrix(lattice25, compute_links(lattice25, R_A))
+        for fn in (paper_fn, truncated_fn):
+            j = jacobian(lattice25, fn, R_A)
+            gram = fn.derivative(fn.R) / fn.R**2 * (m.T @ m)
+            assert np.abs(j - gram).max() <= 1e-12 * np.abs(j).max()
 
     def test_laplacian_term_vanishes_at_exact_root_length(self, paper_fn, lattice25):
         links = compute_links(lattice25, R_A)
