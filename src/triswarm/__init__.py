@@ -45,6 +45,7 @@ from .lattice import (
     TriangularityReport,
     generate_triangular,
     is_triangular,
+    link_deviation,
     link_error,
     perturb,
 )

@@ -25,7 +25,6 @@ from .dynamics import center_drift, simulate
 from .errors import IntegrationDivergedError, InvalidInputError, SingularityError
 from .experiments import (
     CONVERGENCE_E,
-    SweepSpec,
     delta_sweep,
     trial_seeds,
     write_sweep_csv,
@@ -121,16 +120,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     fn = cfg.interaction()
-    deltas = cfg.delta_grid or tuple(round(0.05 * k, 10) for k in range(0, 15))
-    spec = SweepSpec(
-        delta_values=deltas,
-        trials_per_delta=cfg.trials,
-        n=cfg.n,
-        sim=cfg.simulation_params(record_every=max(cfg.record_every, 10)),
-        lattice_seed_base=cfg.lattice_seed,
-        perturb_seed_base=cfg.perturb_seed,
-        growth=cfg.growth,
-    )
+    spec = cfg.sweep_spec()
     jobs = args.jobs or os.cpu_count() or 1
     result = delta_sweep(spec, fn, jobs=jobs)
     outdir = Path(cfg.out_dir)
@@ -140,7 +130,7 @@ def cmd_sweep(args) -> int:
         cfg,
         outdir,
         seeds={"lattice_base": cfg.lattice_seed, "perturb_base": cfg.perturb_seed},
-        delta_values=list(deltas),
+        delta_values=list(spec.delta_values),
     )
     for s in result.summaries:
         print(f"delta={s.delta:.3g} rho={s.rho:.3g} e_mean={s.e_mean:.4g}")

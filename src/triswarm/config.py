@@ -14,6 +14,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .dynamics import SimulationParams
 from .errors import InvalidInputError
+from .experiments import DEFAULT_DELTA_GRID, SweepSpec
 from .interaction import (
     R_A_DEFAULT,
     InteractionFunction,
@@ -62,16 +63,15 @@ class ExperimentConfig:
         Only the rules no constructor states are checked here.
         """
         fn = self.interaction()
-        self.simulation_params()
+        self.simulation_params()  # record_every as given; sweep_spec raises it to >= 10
+        self.sweep_spec()
         LatticeSpec(n=self.n, R=self.R, growth=self.growth)
         if abs(fn.R - self.R) > 1e-9 * self.R:
             raise InvalidInputError(
                 f"R={self.R} inconsistent with force root (a/b)^(1/c)={fn.R:.12g}"
             )
-        if self.delta < 0 or any(d < 0 for d in self.delta_grid):
-            raise InvalidInputError("perturbation radii must be non-negative")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be >= 1")
+        if self.delta < 0:
+            raise InvalidInputError("perturbation radius delta must be non-negative")
         if not self.spectrum_n_values or min(self.spectrum_n_values) < 3:
             raise InvalidInputError(
                 "spectrum.n_values must be non-empty, each n >= 3 (smallest triangular lattice)"
@@ -94,6 +94,18 @@ class ExperimentConfig:
             dt=self.dt,
             horizon=self.horizon,
             record_every=self.record_every if record_every is None else record_every,
+        )
+
+    def sweep_spec(self) -> SweepSpec:
+        """The δ sweep: `delta_grid`, or DEFAULT_DELTA_GRID when empty, recording every >= 10 steps."""
+        return SweepSpec(
+            delta_values=self.delta_grid or DEFAULT_DELTA_GRID,
+            trials_per_delta=self.trials,
+            n=self.n,
+            sim=self.simulation_params(record_every=max(self.record_every, 10)),
+            lattice_seed_base=self.lattice_seed,
+            perturb_seed_base=self.perturb_seed,
+            growth=self.growth,
         )
 
     def digest(self) -> str:

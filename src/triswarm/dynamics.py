@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidInputError
-from .graph import SwarmConfig, pair_geometry
+from .graph import COINCIDENCE_EPS, SwarmConfig, pair_geometry
 from .interaction import R_A_DEFAULT, InteractionFunction
-
-COINCIDENCE_EPS = 1e-12
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ from .dynamics import SimulationParams, simulate
 from .errors import IntegrationDivergedError, InvalidInputError
 from .graph import is_infinitesimally_rigid, links_along
 from .interaction import InteractionFunction
-from .lattice import LatticeSpec, _max_deviation, generate_triangular, is_triangular, perturb
+from .lattice import LatticeSpec, generate_triangular, is_triangular, link_deviation, perturb
 from .serialize import fmt
 
 #: Terminal link-length error below which a trial counts as converged.
 CONVERGENCE_E = 1e-3
+
+#: The sweep's radii when the config gives none: 0, 0.05, ..., 0.7.
+DEFAULT_DELTA_GRID = tuple(round(0.05 * k, 10) for k in range(0, 15))
 
 
 def trial_seeds(base: int, delta_index: int, trial_index: int) -> tuple[int, int]:
@@ -125,7 +128,7 @@ def _trial(n, delta, seeds, sim, fn, track_rigidity, growth, series=False):
     errors, flags = [], []
     for k, links in enumerate(links_along(states, sim.R_a)):
         if k == 0 or series:
-            errors.append(_max_deviation(links, sim.R))
+            errors.append(link_deviation(links, sim.R))
         if track_rigidity and k < last:
             flags.append(is_infinitesimally_rigid(traj.config(k), links))
     report = is_triangular(traj.final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)

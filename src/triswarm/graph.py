@@ -14,10 +14,14 @@ from scipy.linalg import blas, lapack
 
 from .errors import DegenerateConfigurationError, InvalidInputError
 
-#: Default relative tolerance for numerical rank decisions.  Comfortably
+#: Relative tolerance of every numerical rank decision.  Comfortably
 #: separates the O(1)-scale singular values of unit-spacing lattices from
 #: rounding noise.
 RANK_TOL = 1e-8
+
+#: Pairs closer than this have no direction: `dynamics.velocities` drops
+#: them, and `linearization.jacobian` refuses them.
+COINCIDENCE_EPS = 1e-12
 
 #: Largest entry of |B^T B - I| for the columns of B to count as orthonormal.
 ORTHONORMAL_TOL = 1e-12
@@ -242,8 +246,8 @@ def _certifies_corank(matrix: np.ndarray, kernel: np.ndarray, tol: float) -> boo
     return info == 0
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL, kernel: np.ndarray | None = None) -> int:
-    """Singular values above tol relative to the largest one.
+def numerical_rank(matrix: np.ndarray, kernel: np.ndarray | None = None) -> int:
+    """Singular values above RANK_TOL relative to the largest one.
 
     `kernel` holds q x k orthonormal columns (k < q, q the column count) that
     the matrix maps to zero, such as the rigid motions of a rigidity matrix.
@@ -252,8 +256,6 @@ def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL, kernel: np.ndarray
     it cannot; the answer is the SVD's either way.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
     if not np.all(np.isfinite(matrix)):
         raise InvalidInputError("matrix has non-finite entries")
     if kernel is not None:
@@ -265,22 +267,22 @@ def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL, kernel: np.ndarray
             raise InvalidInputError("kernel columns must be orthonormal")
     if matrix.size == 0:
         return 0
-    if kernel is not None and _certifies_corank(matrix, kernel, tol):
+    if kernel is not None and _certifies_corank(matrix, kernel, RANK_TOL):
         return matrix.shape[1] - kernel.shape[1]
     sv = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
 
-def rigidity_rank(config: SwarmConfig, links: LinkSet, tol: float = RANK_TOL) -> int:
+def rigidity_rank(config: SwarmConfig, links: LinkSet) -> int:
     """Numerical rank of the rigidity matrix, with the rigid motions as its known kernel."""
     if config.n < 2:
         raise InvalidInputError("rigidity test requires n >= 2")
-    return numerical_rank(rigidity_matrix(config, links), tol, kernel=_motion_kernel(config))
+    return numerical_rank(rigidity_matrix(config, links), kernel=_motion_kernel(config))
 
 
-def is_infinitesimally_rigid(config: SwarmConfig, links: LinkSet, tol: float = RANK_TOL) -> bool:
+def is_infinitesimally_rigid(config: SwarmConfig, links: LinkSet) -> bool:
     """Rank test: a planar framework is infinitesimally rigid iff rank(M) = 2n - 3."""
-    return rigidity_rank(config, links, tol) == 2 * config.n - 3
+    return rigidity_rank(config, links) == 2 * config.n - 3
 
 
 def swarm_center(config: SwarmConfig) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 
 R_A_DEFAULT = (1.0 + math.sqrt(3.0)) / 2.0
+
+#: Sample spacing of `validate_assumption1` on (0, 2 R_a].
+GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -58,20 +61,16 @@ def lj_force(z, params: LennardJonesParams, r_a: float = math.inf):
     return out if out.ndim else float(out)
 
 
-def lj_derivative(
-    z, params: LennardJonesParams, knot: float | None = None, r_a: float = math.inf
-):
+def lj_derivative(z, params: LennardJonesParams, r_a: float = math.inf):
     """df/dz of the saturated profile: 0 on the saturated branch and beyond r_a.
 
     At exactly the saturation knot the derivative is undefined; the
     unsaturated branch value is returned there.
     """
     z = _require_positive(z)
-    if knot is None:
-        knot = saturation_knot(params)
     c = params.c
     unsat = -2 * c * params.a * z ** (-2 * c - 1) + c * params.b * z ** (-c - 1)
-    out = np.where(z < knot, 0.0, unsat)
+    out = np.where(z < saturation_knot(params), 0.0, unsat)
     if r_a < math.inf:
         out = np.where(z > r_a, 0.0, out)
     return out if out.ndim else float(out)
@@ -83,13 +82,10 @@ def _lj_antiderivative(z, params: LennardJonesParams):
     return a * z ** (1 - 2 * c) / (1 - 2 * c) - b * z ** (1 - c) / (1 - c)
 
 
-def lj_potential(
-    z, params: LennardJonesParams, knot: float | None = None, r_a: float = math.inf
-):
+def lj_potential(z, params: LennardJonesParams, r_a: float = math.inf):
     """Closed-form potential: minus the integral of the force from R, constant beyond r_a."""
     z = _require_positive(z)
-    if knot is None:
-        knot = saturation_knot(params)
+    knot = saturation_knot(params)
     g_at_r = _lj_antiderivative(params.root, params)
     p_at_knot = -(_lj_antiderivative(knot, params) - g_at_r)
     unsat = -(_lj_antiderivative(np.maximum(z, knot), params) - g_at_r)
@@ -99,10 +95,12 @@ def lj_potential(
     return out if out.ndim else float(out)
 
 
-def saturation_knot(params: LennardJonesParams, tol: float = 1e-14) -> float:
+@lru_cache
+def saturation_knot(params: LennardJonesParams) -> float:
     """z where the unsaturated profile crosses the saturation cap.
 
-    Solved by bisection on the monotone decreasing branch left of the root.
+    Solved by bisection, to a relative width of 1e-14, on the monotone
+    decreasing branch left of the root; cached per (frozen) parameter set.
     """
 
     def raw(z):
@@ -115,7 +113,7 @@ def saturation_knot(params: LennardJonesParams, tol: float = 1e-14) -> float:
         lo *= 0.5
         if lo < 1e-300:
             raise InvalidInputError("saturation cap unreachable")
-    while hi - lo > tol * hi:
+    while hi - lo > 1e-14 * hi:
         mid = 0.5 * (lo + hi)
         if raw(mid) > params.saturation:
             lo = mid
@@ -160,12 +158,11 @@ def saturated_lennard_jones(
     r = params.root
     if not (r < r_a):
         raise InvalidInputError("r_a must exceed the force root R")
-    knot = saturation_knot(params)
     cutoff = r_a if truncate else math.inf
     return InteractionFunction(
         force=partial(lj_force, params=params, r_a=cutoff),
-        derivative=partial(lj_derivative, params=params, knot=knot, r_a=cutoff),
-        potential=partial(lj_potential, params=params, knot=knot, r_a=cutoff),
+        derivative=partial(lj_derivative, params=params, r_a=cutoff),
+        potential=partial(lj_potential, params=params, r_a=cutoff),
         R=r,
         R_a=r_a,
         params=params,
@@ -208,11 +205,9 @@ class ValidationReport:
 
     root_zero: bool  # |f(R)| <= 1e-12
     sign_pattern: bool  # f > 0 below R, f < 0 above R on the sampled grid
-    continuous: bool  # no Lipschitz-inconsistent jump on [grid_step, R_a]
+    continuous: bool  # no Lipschitz-inconsistent jump on [GRID_STEP, R_a]
     vanishing_exact: bool  # f identically zero on the sampled (R_a, 2 R_a]
     vanishing_residual: float  # max |f| on (R_a, 2 R_a]
-    max_jump: float
-    grid_step: float
 
     @property
     def core_passed(self) -> bool:
@@ -220,11 +215,9 @@ class ValidationReport:
         return self.root_zero and self.sign_pattern and self.continuous
 
 
-def validate_assumption1(fn: InteractionFunction, grid_step: float = 1e-3) -> ValidationReport:
-    """Sample the force on (0, 2 R_a] and audit its qualitative shape."""
-    if grid_step <= 0:
-        raise InvalidInputError("grid_step must be positive")
-    grid = np.arange(grid_step, 2 * fn.R_a + grid_step / 2, grid_step)
+def validate_assumption1(fn: InteractionFunction) -> ValidationReport:
+    """Sample the force every GRID_STEP on (0, 2 R_a] and audit its qualitative shape."""
+    grid = np.arange(GRID_STEP, 2 * fn.R_a + GRID_STEP / 2, GRID_STEP)
     f = np.asarray(fn.force(grid), dtype=float)
 
     root_zero = abs(float(fn.force(fn.R))) <= 1e-12
@@ -233,15 +226,13 @@ def validate_assumption1(fn: InteractionFunction, grid_step: float = 1e-3) -> Va
     above = (grid > fn.R) & (grid <= fn.R_a)  # beyond R_a the vanishing check owns f
     sign_pattern = bool(np.all(f[below] > 0.0) and np.all(f[above] < 0.0))
 
-    core = (grid >= grid_step) & (grid <= fn.R_a)
-    fc = f[core]
-    jumps = np.abs(np.diff(fc))
-    max_jump = float(jumps.max()) if jumps.size else 0.0
+    core = grid <= fn.R_a
+    jumps = np.abs(np.diff(f[core]))
     slopes = np.abs(np.asarray(fn.derivative(grid[core]), dtype=float))
     if slopes.size > 1:
         lipschitz = np.maximum(slopes[:-1], slopes[1:])
         # factor 2 absorbs curvature between samples; tiny floor for flat profiles
-        continuous = bool(np.all(jumps <= 2.0 * lipschitz * grid_step + 1e-12))
+        continuous = bool(np.all(jumps <= 2.0 * lipschitz * GRID_STEP + 1e-12))
     else:
         continuous = True
     tail = f[grid > fn.R_a]
@@ -252,6 +243,4 @@ def validate_assumption1(fn: InteractionFunction, grid_step: float = 1e-3) -> Va
         continuous=continuous,
         vanishing_exact=residual == 0.0,
         vanishing_residual=residual,
-        max_jump=max_jump,
-        grid_step=grid_step,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, GenerationError, InvalidInputError
-from .graph import RANK_TOL, LinkSet, SwarmConfig, compute_links, rigidity_rank
+from .graph import LinkSet, SwarmConfig, compute_links, rigidity_rank
 
 AXIAL_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
@@ -122,8 +122,6 @@ class TriangularityReport:
     rank: int
     max_length_deviation: float
     link_count: int
-    tol_len: float
-    tol_rank: float
 
 
 def is_triangular(
@@ -131,15 +129,14 @@ def is_triangular(
     r: float,
     r_a: float,
     tol_len: float | None = None,
-    tol_rank: float = RANK_TOL,
 ) -> TriangularityReport:
-    """Rigidity plus unit-length links, with the measured deviations attached."""
+    """Rigidity plus links of length r within tol_len (default 1e-6 r), with the measured deviation."""
     if tol_len is None:
         tol_len = 1e-6 * r
     links = compute_links(config, r_a)
-    rank = rigidity_rank(config, links, tol_rank) if config.n >= 2 else 0
+    rank = rigidity_rank(config, links) if config.n >= 2 else 0
     rigid = rank == 2 * config.n - 3
-    deviation = _max_deviation(links, r) if links.m else math.inf
+    deviation = link_deviation(links, r) if links.m else math.inf
     ok = rigid and links.m > 0 and deviation <= tol_len
     return TriangularityReport(
         ok=ok,
@@ -147,17 +144,16 @@ def is_triangular(
         rank=rank,
         max_length_deviation=deviation,
         link_count=links.m,
-        tol_len=tol_len,
-        tol_rank=tol_rank,
     )
 
 
 def link_error(config: SwarmConfig, r: float, r_a: float) -> float:
     """Maximum deviation of link lengths from the desired length R."""
-    return _max_deviation(compute_links(config, r_a), r)
+    return link_deviation(compute_links(config, r_a), r)
 
 
-def _max_deviation(links: LinkSet, r: float) -> float:
+def link_deviation(links: LinkSet, r: float) -> float:
+    """The link error e: largest |length - r| over the links."""
     if links.m == 0:
         raise DegenerateConfigurationError("configuration has no links")
     return float(np.max(np.abs(links.lengths - r)))

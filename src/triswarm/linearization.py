@@ -19,16 +19,18 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError, SingularityError
-from .graph import LinkSet, SwarmConfig, compute_links, rigid_motion_basis, rigidity_matrix
+from .graph import COINCIDENCE_EPS, LinkSet, SwarmConfig, compute_links, rigid_motion_basis, rigidity_matrix
 from .interaction import InteractionFunction
 
+#: Relative tolerance of the spectral split: a zero mode has |lambda| <= ZERO_TOL
+#: times the spectral radius and lies in the rigidity kernel when |M v| / |M|_2 <= ZERO_TOL.
 ZERO_TOL = 1e-8
 
 
 def _links(config: SwarmConfig, radius: float) -> LinkSet:
     links = compute_links(config, radius)
-    if links.m and links.lengths.min() < 1e-14:
-        raise SingularityError("zero-length link")
+    if links.m and links.lengths.min() < COINCIDENCE_EPS:
+        raise SingularityError("coincident agents: a link has no direction")
     return links
 
 
@@ -68,10 +70,10 @@ def jacobian(config: SwarmConfig, fn: InteractionFunction, radius: float) -> np.
     return _jacobian(config, _links(config, radius), fn)
 
 
-def _eigensplit(j: np.ndarray, tol_zero: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eigensplit(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues (descending), orthonormal eigenvectors and zero mask of a symmetric j.
 
-    An eigenvalue counts as zero when |lambda| <= tol_zero * max |lambda|.
+    An eigenvalue counts as zero when |lambda| <= ZERO_TOL * max |lambda|.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
@@ -80,7 +82,7 @@ def _eigensplit(j: np.ndarray, tol_zero: float) -> tuple[np.ndarray, np.ndarray,
         raise InvalidInputError("Jacobian must be exactly symmetric")
     eigvals, eigvecs = scipy.linalg.eigh(j)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-    is_zero = np.abs(eigvals) <= tol_zero * np.max(np.abs(eigvals), initial=0.0)
+    is_zero = np.abs(eigvals) <= ZERO_TOL * np.max(np.abs(eigvals), initial=0.0)
     return eigvals, eigvecs, is_zero
 
 
@@ -93,7 +95,6 @@ class SpectrumReport:
     negative_count: int
     kernel_aligned: bool
     max_kernel_residual: float
-    tol_zero: float
 
     @property
     def unclassified_count(self) -> int:
@@ -107,23 +108,19 @@ class SpectrumReport:
         return float(self.eigenvalues[k]) if k < len(self.eigenvalues) else math.nan
 
 
-def spectral_analysis(
-    j: np.ndarray,
-    rigidity: np.ndarray,
-    tol_zero: float = ZERO_TOL,
-) -> SpectrumReport:
+def spectral_analysis(j: np.ndarray, rigidity: np.ndarray) -> SpectrumReport:
     """Classify the spectrum of the symmetric j against the rigidity matrix.
 
-    Eigenvalues with modulus at most tol_zero times the spectral radius count
+    Eigenvalues with modulus at most ZERO_TOL times the spectral radius count
     as zero; the others below zero count as negative.  kernel_aligned holds
-    iff every zero-eigenvector is (residual |M v| / |M|_2 <= tol_zero) in the
+    iff every zero-eigenvector is (residual |M v| / |M|_2 <= ZERO_TOL) in the
     rigidity kernel while no negative-eigenvector is.
     """
     # The norm (an SVD) before the eigensolve, and |M v| over blocks of 64
     # eigenvectors: either the other order or the whole (m, 2n) product at
     # once raised the process's peak memory by 6-13 MB at n = 400.
     m_norm = float(np.linalg.norm(rigidity, 2)) if rigidity.size else 0.0
-    eigvals, eigvecs, is_zero = _eigensplit(j, tol_zero)
+    eigvals, eigvecs, is_zero = _eigensplit(j)
     is_negative = ~is_zero & (eigvals < 0)
     blocks = [np.linalg.norm(rigidity @ eigvecs[:, k : k + 64], axis=0) for k in range(0, eigvecs.shape[1], 64)]
     residuals = np.concatenate(blocks) / (m_norm or 1.0)
@@ -132,24 +129,18 @@ def spectral_analysis(
         eigenvalues=eigvals,
         zero_count=zero_res.size,
         negative_count=negative_res.size,
-        kernel_aligned=bool(np.all(zero_res <= tol_zero) and np.all(negative_res > tol_zero)),
+        kernel_aligned=bool(np.all(zero_res <= ZERO_TOL) and np.all(negative_res > ZERO_TOL)),
         max_kernel_residual=float(np.max(zero_res, initial=0.0)),
-        tol_zero=tol_zero,
     )
 
 
-def analyze_configuration(
-    config: SwarmConfig,
-    fn: InteractionFunction,
-    r_a: float,
-    tol_zero: float = ZERO_TOL,
-) -> SpectrumReport:
+def analyze_configuration(config: SwarmConfig, fn: InteractionFunction, r_a: float) -> SpectrumReport:
     """Jacobian, rigidity matrix and spectrum report for one configuration, from one link set."""
     links = _links(config, r_a)
-    return spectral_analysis(_jacobian(config, links, fn), rigidity_matrix(config, links), tol_zero)
+    return spectral_analysis(_jacobian(config, links, fn), rigidity_matrix(config, links))
 
 
-def kernel_principal_angles(config: SwarmConfig, j: np.ndarray, tol_zero: float = ZERO_TOL) -> np.ndarray:
+def kernel_principal_angles(config: SwarmConfig, j: np.ndarray) -> np.ndarray:
     """Principal angles between the numerical zero-eigenspace of j and the rigid-motion basis."""
-    _, eigvecs, is_zero = _eigensplit(j, tol_zero)
+    _, eigvecs, is_zero = _eigensplit(j)
     return scipy.linalg.subspace_angles(eigvecs[:, is_zero], rigid_motion_basis(config))

@@ -250,6 +250,13 @@ class TestValidate:
         assert run(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unsorted_delta_grid_is_a_config_error(self, tmp_path, capsys):
+        # validate builds the sweep's SweepSpec, so it rejects what sweep rejects
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("experiment.delta_grid = 0.5, 0.1\n")
+        assert run(["validate", "--config", str(cfg)]) == 2
+        assert "sorted ascending" in capsys.readouterr().err
+
 
 class TestRigidity:
     def test_lattice_csv(self, tmp_path):

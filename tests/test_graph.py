@@ -244,10 +244,6 @@ class TestNumericalRank:
         with pytest.raises(InvalidInputError):
             numerical_rank(np.array([[1.0, np.inf]]))
 
-    def test_nonpositive_tol_rejected(self):
-        with pytest.raises(InvalidInputError):
-            numerical_rank(np.eye(2), tol=0.0)
-
 
 class TestInfinitesimalRigidity:
     def test_triangle_rigid(self, triangle):

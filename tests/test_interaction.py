@@ -154,10 +154,6 @@ class TestValidateAssumption1:
         assert np.all(f[grid < 1.0] > 0.0)
         assert np.all(f[grid > 1.0] < 0.0)
 
-    def test_bad_grid_step(self, paper_fn):
-        with pytest.raises(InvalidInputError):
-            validate_assumption1(paper_fn, grid_step=0.0)
-
 
 class TestParamsValidation:
     @pytest.mark.parametrize("kwargs", [dict(a=-1.0), dict(b=0.0), dict(c=0), dict(saturation=0.0)])

@@ -28,8 +28,7 @@ class TestGenerate:
         def failing(config, r, r_a, **kwargs):
             calls.append(config)
             return lattice_module.TriangularityReport(
-                ok=False, rigid=False, rank=0, max_length_deviation=math.inf,
-                link_count=0, tol_len=1e-6, tol_rank=1e-8,
+                ok=False, rigid=False, rank=0, max_length_deviation=math.inf, link_count=0
             )
 
         monkeypatch.setattr(lattice_module, "is_triangular", failing)

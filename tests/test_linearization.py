@@ -73,6 +73,13 @@ class TestJacobianAssembly:
         with pytest.raises(SingularityError):
             jacobian(cfg, paper_fn, R_A)
 
+    def test_link_velocities_drops_as_coincident_rejected(self, paper_fn):
+        # one rule for a pair without a direction: velocities drops it, jacobian refuses it
+        cfg = SwarmConfig(np.array([[0.0, 0.0], [1e-13, 0.0], [1.0, 0.0]]))
+        assert velocities(cfg.positions, paper_fn, 3.0)[1] == 1
+        with pytest.raises(SingularityError):
+            jacobian(cfg, paper_fn, R_A)
+
     @pytest.mark.parametrize("profile", ["paper_fn", "truncated_fn"])
     @pytest.mark.parametrize("n", [3, 25, 100])
     @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5])

@@ -16,8 +16,10 @@ import pytest
 from triswarm import (
     LatticeSpec,
     SimulationParams,
+    analyze_configuration,
     compute_links,
     generate_triangular,
+    is_infinitesimally_rigid,
     jacobian,
     perturb,
     rigidity_matrix,
@@ -51,6 +53,35 @@ def probe_inputs():
     fn = saturated_lennard_jones()
     lattice = generate_triangular(LatticeSpec(n=25, seed=0, growth="compact"), fn.R_a)
     return fn, lattice
+
+
+def test_generate_triangular_probe_call(probe_inputs):
+    _, lattice = probe_inputs
+    assert lattice.n == 25
+
+
+def test_rigidity_probe_calls(probe_inputs):
+    # compute_links(config, r_a) and is_infinitesimally_rigid(config, links), as the
+    # probes and the tracked workload's gate call them
+    fn, lattice = probe_inputs
+    links = compute_links(lattice, fn.R_a)
+    assert links.m > 0 and np.all(np.abs(links.lengths - 1.0) <= 1e-12)
+    assert is_infinitesimally_rigid(lattice, links) is True
+
+
+def test_jacobian_probe_call(probe_inputs):
+    fn, lattice = probe_inputs
+    j = jacobian(lattice, fn, fn.R_a)
+    assert j.shape == (2 * lattice.n, 2 * lattice.n)
+    assert np.array_equal(j, j.T)
+
+
+def test_analyze_configuration_call(probe_inputs):
+    # `triswarm spectrum` in the cli_analysis workload calls it once per lattice
+    fn, lattice = probe_inputs
+    report = analyze_configuration(lattice, fn, fn.R_a)
+    assert (report.zero_count, report.negative_count) == (3, 2 * lattice.n - 3)
+    assert report.kernel_aligned
 
 
 def test_velocities_probe_call(probe_inputs):
