@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .graph import (
     LinkSet,
+    RigidityMatrix,
     SwarmConfig,
     compute_links,
     incidence_matrix,

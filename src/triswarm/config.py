@@ -21,7 +21,6 @@ from .interaction import (
     LennardJonesParams,
     saturated_lennard_jones,
 )
-from .lattice import LatticeSpec
 
 
 _LJ = LennardJonesParams()
@@ -65,7 +64,6 @@ class ExperimentConfig:
         fn = self.interaction()
         self.simulation_params()  # record_every as given; sweep_spec raises it to >= 10
         self.sweep_spec()
-        LatticeSpec(n=self.n, R=self.R, growth=self.growth)
         if abs(fn.R - self.R) > 1e-9 * self.R:
             raise InvalidInputError(
                 f"R={self.R} inconsistent with force root (a/b)^(1/c)={fn.R:.12g}"

@@ -17,6 +17,10 @@ from .errors import InvalidInputError
 from .graph import LinkSet, SwarmConfig, compute_links, links_along, swarm_center
 from .interaction import InteractionFunction
 
+#: Relative tolerance of `dissipation_check`: an unflagged step agrees when
+#: |rate_numeric - rate_analytic| <= DISSIPATION_TOL (1 + |rate_analytic|).
+DISSIPATION_TOL = 1e-3
+
 
 def _energy(
     positions: np.ndarray, links: LinkSet, reference_center: np.ndarray, fn: InteractionFunction
@@ -77,24 +81,18 @@ class LyapunovSample:
     rate_numeric: float
     link_count: int
     flagged: bool  # links changed over [t, t+dt]: the comparison is invalid there
-    mismatch: bool  # unflagged but |rate_numeric - rate_analytic| > tol
+    mismatch: bool  # unflagged but outside DISSIPATION_TOL
 
 
 @dataclass(frozen=True)
 class DissipationReport:
     samples: tuple[LyapunovSample, ...]
     values: tuple[float, ...]  # energy at every recorded step, the last one included
-    tol: float
     agreement_fraction: float  # over unflagged samples
     flagged_count: int
 
 
-def dissipation_check(
-    traj: Trajectory,
-    fn: InteractionFunction,
-    params: SimulationParams,
-    tol: float = 1e-3,
-) -> DissipationReport:
+def dissipation_check(traj: Trajectory, fn: InteractionFunction, params: SimulationParams) -> DissipationReport:
     """Compare the finite difference of the energy against its analytic rate.
 
     Requires a trajectory recorded with stride 1 that carries its control
@@ -119,7 +117,7 @@ def dissipation_check(
         mismatch = False
         if not flagged:
             unflagged += 1
-            mismatch = abs(rate_num - rate_an) > tol * (1.0 + abs(rate_an))
+            mismatch = abs(rate_num - rate_an) > DISSIPATION_TOL * (1.0 + abs(rate_an))
             agree += not mismatch
         samples.append(
             LyapunovSample(
@@ -136,7 +134,6 @@ def dissipation_check(
     return DissipationReport(
         samples=tuple(samples),
         values=tuple(values.tolist()),
-        tol=tol,
         agreement_fraction=fraction,
         flagged_count=sum(s.flagged for s in samples),
     )

@@ -53,6 +53,7 @@ class SweepSpec:
             raise InvalidInputError("delta values must be sorted ascending")
         if self.trials_per_delta < 1:
             raise InvalidInputError("trials_per_delta must be >= 1")
+        LatticeSpec(n=self.n, R=self.sim.R, growth=self.growth)  # checks n and growth before any trial
         object.__setattr__(self, "delta_values", deltas)
 
 

@@ -10,7 +10,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .errors import DegenerateConfigurationError, InvalidInputError
 
@@ -193,91 +193,156 @@ def rigid_motion_basis(config: SwarmConfig) -> np.ndarray:
     return basis
 
 
-def _motion_kernel(config: SwarmConfig) -> np.ndarray | None:
-    """`rigid_motion_basis`, or None where it is undefined (the rank then comes from the SVD)."""
-    try:
-        return rigid_motion_basis(config)
-    except DegenerateConfigurationError:
-        return None
+@dataclass(frozen=True)
+class RigidityMatrix:
+    """The m x 2n rigidity matrix of `config` and `links`, held as its inputs.
 
-
-def _certifies_corank(matrix: np.ndarray, kernel: np.ndarray, tol: float) -> bool:
-    """True when the SVD count of `numerical_rank` is proven to be q - k; False when undecided.
-
-    M is the m x q matrix, K the q x k orthonormal kernel, s = |M|_F^2 >= sigma_1^2,
-    and u = eps / 2 the unit roundoff.
-
-    Upper side: sigma_{q-k+1} <= |M K|_2 (min-max over the span of K), so
-    |M K|_F^2 <= tol^2 max_i |M e_i|^2 / 4 <= (tol sigma_1 / 2)^2 keeps every
-    singular value past the (q - k)-th at half the threshold or below.
-
-    Lower side: G = M^T M + s K K^T is a positive semidefinite rank-k update
-    of M^T M, so by interlacing lambda_min(G) <= sigma_{q-k}^2.  The Cholesky
-    factorization of the computed G - c I is attempted.  Its errors, as
-    spectral norms:
-      - forming M^T M (m-term dot products): gamma_m |M|_F^2 <= m eps s;
-      - forming s K K^T: gamma_{k+1} s |K|_F^2 <= (k + 1) k eps s < q (q + 1) eps s;
-      - the diagonal shift: u max_i |g_ii| <= q eps s;
-      - Cholesky itself (Higham, Accuracy and Stability of Numerical
-        Algorithms, Thms 10.3 and 10.5): if it runs to completion,
-        R^T R = A + dA with |dA| <= gamma_{q+1} |R^T| |R|, hence
-        |dA|_2 <= gamma_{q+1} trace(A) / (1 - gamma_{q+1}) <= (q + 1) eps (k + 1) s
-        <= q (q + 1) eps s, as trace(A) <= (k + 1) s and k < q.
-    Their sum stays below (4 q (q + 1) + m) eps s, with room for the rounding
-    of s and c.  A completed factorization makes R^T R positive definite, so
-    sigma_{q-k}^2 >= lambda_min(G) > c - (4 q (q + 1) + m) eps s = tol^2 s
-    >= (tol sigma_1)^2.  As c >= (tol^2 + 24 eps) s, sigma_{q-k} then clears
-    the threshold by far more than the SVD's own rounding.  A framework with
-    more flex than K (collinear, coincident, too few links) has
-    lambda_min(G) ~ 0 and is left to the SVD.
+    `numerical_rank` certifies its rank from the links (`_certifies_rigidity`);
+    `np.asarray` builds the dense matrix (`rigidity_matrix`), which only the
+    SVD fallback needs.
     """
-    q, k = kernel.shape
-    # matrix.T of a C-ordered matrix is a Fortran view: dsyrk reads it in place
-    gram = blas.dsyrk(1.0, matrix.T)  # upper triangle of M^T M
-    diag = gram.diagonal()
-    s = float(diag.sum())
-    residual = matrix @ kernel
-    if float(np.einsum("ij,ij->", residual, residual)) > tol**2 * float(diag.max()) / 4:
+
+    config: SwarmConfig
+    links: LinkSet
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.links.m, 2 * self.config.n)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(rigidity_matrix(self.config, self.links), dtype=dtype)
+
+
+#: Band entries each link adds to M^T M, over its agents' coordinates
+#: (l_x, l_y, h_x, h_y), l the agent placed first: row, column, which of
+#: (d_x^2, d_x d_y, d_y^2) and sign.  Diagonal blocks +d d^T (upper half),
+#: the off-diagonal block -d d^T.
+_BAND_ROW = np.array([0, 0, 1, 2, 2, 3, 0, 0, 1, 1])
+_BAND_COL = np.array([0, 1, 1, 2, 3, 3, 2, 3, 2, 3])
+_BAND_TERM = np.array([0, 1, 2, 0, 1, 2, 0, 1, 1, 2])
+_BAND_SIGN = np.array([1.0, 1, 1, 1, 1, 1, -1, -1, -1, -1])
+
+
+def _certifies_rigidity(config: SwarmConfig, links: LinkSet) -> bool:
+    """True when the SVD count of `numerical_rank` on M is proven to be q - 3; False when undecided.
+
+    M is the m x q rigidity matrix (q = 2n), K = `rigid_motion_basis` its
+    q x 3 kernel, s = |M|_F^2 >= sigma_1^2, tol = RANK_TOL and u = eps / 2
+    the unit roundoff.  Every quantity below is O(m) to form from the links.
+
+    Upper side: sigma_{q-2} <= |M K|_2 (min-max over the span of K), so
+    r^2 = |M K|_F^2 <= tol^2 max_i |M e_i|^2 / 4 <= (tol sigma_1 / 2)^2 keeps
+    the three last singular values at half the threshold or below.  Row e of
+    M K is d_e^T (K_i - K_j) for link e = (i, j), d_e = x_i - x_j.
+
+    Lower side: order the agents along their widest axis and pin three
+    coordinates D: both of the first agent's and the last agent's across
+    that axis.  K_D, the 3 x 3 rows of K at D, is then invertible (its
+    determinant is proportional to their separation along the axis).  Any
+    v orthogonal to K splits as v = K a + w with a = K_D^{-1} v_D and
+    w_D = 0, and |w|^2 = |v|^2 + |K a|^2 >= |v|^2.  So with C the other
+    q - 3 coordinates, M v = M K a + M_C w_C gives
+    |M v| >= (sigma_min(M_C) - r kappa) |v|, kappa = |K_D^{-1}|_F, and by
+    min-max over the complement of K, sigma_{q-3}(M) >= sigma_min(M_C) - r kappa.
+    G = M_C^T M_C is banded in this order, with bandwidth b.  It is summed
+    in band storage from the per-link blocks d_e d_e^T, and the banded
+    Cholesky factorization of the computed G - c I is attempted.  Its
+    errors, as spectral norms:
+      - forming G: an entry sums at most delta products (delta the largest
+        agent degree), so |dG| <= gamma_{delta+1} |M_C|^T |M_C| and
+        |dG|_2 <= gamma_{delta+1} s;
+      - the diagonal shift: u max_i |g_ii - c| <= u s;
+      - Cholesky itself (Higham, Accuracy and Stability of Numerical
+        Algorithms, Thm 10.3, whose inner products have at most b + 1 terms
+        in a band): if it runs to completion, R^T R = A + dA with
+        |dA| <= gamma_{b+1} |R^T| |R|, hence
+        |dA|_2 <= gamma_{b+1} trace(A) / (1 - gamma_{b+1}) <= 2 gamma_{b+1} s.
+    With gamma_k <= k eps their sum stays below (delta + 2 b + 6) eps s = E,
+    with room for the rounding of s.  A completed factorization makes R^T R
+    positive definite, so sigma_min(M_C)^2 = lambda_min(G) > c - E.  The
+    shift c = (2 tol sqrt(s) + r kappa)^2 + E then gives
+    sigma_{q-3}(M) > 2 tol sqrt(s) >= 2 tol sigma_1: the threshold is
+    cleared by a factor of two, far more than the SVD's own rounding.  A
+    framework with more flex than K (collinear, coincident, too few links)
+    has lambda_min(G) ~ 0 and is left to the SVD.
+    """
+    n = config.n
+    if links.m == 0:
         return False
-    gram = blas.dsyrk(s, kernel, beta=1.0, c=gram, overwrite_c=1)
-    shift = (tol**2 + (4 * q * (q + 1) + matrix.shape[0]) * np.finfo(float).eps) * s
-    np.fill_diagonal(gram, gram.diagonal() - shift)
-    _, info = lapack.dpotrf(gram, clean=0, overwrite_a=1)
+    try:
+        kernel = rigid_motion_basis(config)
+    except DegenerateConfigurationError:
+        return False
+    pos = config.positions
+    i, j = links.pairs.T
+    d = pos[i] - pos[j]  # the rows of rigidity_matrix, bit for bit
+    terms = np.column_stack([d[:, 0] * d[:, 0], d[:, 0] * d[:, 1], d[:, 1] * d[:, 1]])
+
+    # |M e_c|^2 for each coordinate c = 2 agent + axis: d_x^2 and d_y^2 at both ends
+    ends = np.concatenate([i, j])
+    diag = np.bincount((2 * ends[:, None] + [0, 1]).ravel(), np.tile(terms[:, ::2], (2, 1)).ravel(), 2 * n)
+    s = float(diag.sum())
+    k3 = kernel.reshape(n, 2, 3)
+    residual = np.einsum("ea,eac->ec", d, k3[i] - k3[j])
+    r2 = float(np.einsum("ec,ec->", residual, residual))
+    if not np.isfinite(s) or r2 > RANK_TOL**2 * float(diag.max()) / 4:
+        return False
+
+    axis = int(np.ptp(pos[:, 1]) > np.ptp(pos[:, 0]))
+    order = np.argsort(pos[:, axis], kind="stable")
+    try:
+        k_d = kernel[[2 * order[0], 2 * order[0] + 1, 2 * order[-1] + 1 - axis]]
+        kappa = float(np.linalg.norm(np.linalg.inv(k_d)))
+    except np.linalg.LinAlgError:
+        return False
+
+    # band index of each agent's coordinates in this order, -1 where pinned
+    place = np.empty(n, dtype=int)
+    place[order] = np.arange(n)
+    free = np.ones(2 * n, dtype=bool)
+    free[[0, 1, 2 * n - 1 - axis]] = False
+    index = np.where(free, np.cumsum(free) - 1, -1)[2 * place[:, None] + [0, 1]]
+    first = np.where(place[i] < place[j], i, j)
+    coords = np.column_stack([index[first], index[i + j - first]])
+    rows, cols = coords[:, _BAND_ROW].ravel(), coords[:, _BAND_COL].ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[kept], cols[kept]
+    b = int((cols - rows).max(initial=0))
+    size = 2 * n - 3
+    band = np.bincount(
+        cols * (b + 1) + (b + rows - cols), (terms[:, _BAND_TERM] * _BAND_SIGN).ravel()[kept], size * (b + 1)
+    ).reshape(size, b + 1).T  # LAPACK upper band storage, Fortran-ordered
+
+    degree = int(np.bincount(links.pairs.ravel()).max())
+    error = (degree + 2 * b + 6) * np.finfo(float).eps * s
+    band[b] -= (2 * RANK_TOL * np.sqrt(s) + np.sqrt(r2) * kappa) ** 2 + error
+    _, info = lapack.dpbtrf(band, overwrite_ab=1)
     return info == 0
 
 
-def numerical_rank(matrix: np.ndarray, kernel: np.ndarray | None = None) -> int:
+def numerical_rank(matrix: np.ndarray | RigidityMatrix) -> int:
     """Singular values above RANK_TOL relative to the largest one.
 
-    `kernel` holds q x k orthonormal columns (k < q, q the column count) that
-    the matrix maps to zero, such as the rigid motions of a rigidity matrix.
-    Given it, a certificate (`_certifies_corank`: one Cholesky factorization
-    of M^T M) first tries to prove the rank q - k, and the SVD runs only when
-    it cannot; the answer is the SVD's either way.
+    A `RigidityMatrix` is first offered to `_certifies_rigidity`, which tries
+    to prove the rank 2n - 3 from its links without building it; the dense
+    SVD runs only when it cannot, and the answer is the SVD's either way.
     """
+    if isinstance(matrix, RigidityMatrix) and _certifies_rigidity(matrix.config, matrix.links):
+        return matrix.shape[1] - 3
     matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise InvalidInputError("matrix has non-finite entries")
-    if kernel is not None:
-        kernel = np.asarray(kernel, dtype=float)
-        q = matrix.shape[-1]
-        if kernel.ndim != 2 or kernel.shape[0] != q or kernel.shape[1] >= q:
-            raise InvalidInputError(f"kernel must be ({q}, k) with k < {q}, got {kernel.shape}")
-        if not _orthonormal(kernel):
-            raise InvalidInputError("kernel columns must be orthonormal")
     if matrix.size == 0:
         return 0
-    if kernel is not None and _certifies_corank(matrix, kernel, RANK_TOL):
-        return matrix.shape[1] - kernel.shape[1]
     sv = np.linalg.svd(matrix, compute_uv=False)
     return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
 
 def rigidity_rank(config: SwarmConfig, links: LinkSet) -> int:
-    """Numerical rank of the rigidity matrix, with the rigid motions as its known kernel."""
+    """Numerical rank of the rigidity matrix; certified from the links where possible."""
     if config.n < 2:
         raise InvalidInputError("rigidity test requires n >= 2")
-    return numerical_rank(rigidity_matrix(config, links), kernel=_motion_kernel(config))
+    return numerical_rank(RigidityMatrix(config, links))
 
 
 def is_infinitesimally_rigid(config: SwarmConfig, links: LinkSet) -> bool:

@@ -12,7 +12,7 @@ import csv
 import numpy as np
 import scipy.linalg
 
-from triswarm.diagnostics import DissipationReport, LyapunovSample
+from triswarm.diagnostics import DISSIPATION_TOL, DissipationReport, LyapunovSample
 from triswarm.dynamics import velocities
 from triswarm.graph import compute_links
 
@@ -168,7 +168,7 @@ def csv_write_trajectory(traj, path):
                 writer.writerow([fmt(t), i, fmt(x), fmt(y)])
 
 
-def recompute_dissipation_check(traj, fn, params, tol=1e-3):
+def recompute_dissipation_check(traj, fn, params):
     """dissipation_check that runs compute_links and velocities on every recorded state."""
     ref = traj.states[0].mean(axis=0)
     n_rec = len(traj.times)
@@ -191,7 +191,7 @@ def recompute_dissipation_check(traj, fn, params, tol=1e-3):
         mismatch = False
         if not flagged:
             unflagged += 1
-            mismatch = abs(rate_num - rate_an) > tol * (1.0 + abs(rate_an))
+            mismatch = abs(rate_num - rate_an) > DISSIPATION_TOL * (1.0 + abs(rate_an))
             agree += not mismatch
         samples.append(
             LyapunovSample(
@@ -207,7 +207,6 @@ def recompute_dissipation_check(traj, fn, params, tol=1e-3):
     return DissipationReport(
         samples=tuple(samples),
         values=tuple(values.tolist()),
-        tol=tol,
         agreement_fraction=agree / unflagged if unflagged else 1.0,
         flagged_count=sum(s.flagged for s in samples),
     )

@@ -183,7 +183,7 @@ def test_criterion_07_dissipation_identity(truncated_fn):
     for seed in (0, 1, 2):
         lattice = generate_triangular(LatticeSpec(n=10, seed=seed, growth="compact"), R_A)
         traj = simulate(perturb(lattice, 0.05, 100 + seed), truncated_fn, params)
-        rep = dissipation_check(traj, truncated_fn, params, tol=1e-3)
+        rep = dissipation_check(traj, truncated_fn, params)
         for s in rep.samples:
             if s.flagged:
                 continue

@@ -136,7 +136,6 @@ class TestDissipationCheck:
         reference = recompute_dissipation_check(traj, fn, params)
         assert report.samples == reference.samples
         assert report.values == reference.values
-        assert report.tol == reference.tol
         assert report.agreement_fraction == reference.agreement_fraction
         assert report.flagged_count == reference.flagged_count
 

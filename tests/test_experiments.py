@@ -46,6 +46,20 @@ def dense_passes(monkeypatch):
 
 
 @pytest.fixture
+def dense_rigidity_builds(monkeypatch):
+    """Link counts of the dense rigidity matrices (`graph.rigidity_matrix`) built from here on."""
+    builds = []
+    original = graph.rigidity_matrix
+
+    def counted(config, links):
+        builds.append(links.m)
+        return original(config, links)
+
+    monkeypatch.setattr(graph, "rigidity_matrix", counted)
+    return builds
+
+
+@pytest.fixture
 def rank_tests(monkeypatch):
     """Shapes of the matrices passed to `numerical_rank` from here on."""
     calls = []
@@ -193,6 +207,12 @@ class TestDeltaSweep:
         with pytest.raises(InvalidInputError):
             SweepSpec(delta_values=(0.1,), trials_per_delta=0, n=10, sim=FAST_SIM)
 
+    @pytest.mark.parametrize("n, growth", [(2, "compact"), (10, "spiral")])
+    def test_spec_checks_the_lattice(self, n, growth):
+        # rejected when the spec is built, before any trial (or worker) starts
+        with pytest.raises(InvalidInputError, match="n >= 3|growth"):
+            SweepSpec(delta_values=(0.1,), trials_per_delta=1, n=n, sim=FAST_SIM, growth=growth)
+
     def test_csv_outputs(self, small_sweep, tmp_path):
         _, result = small_sweep
         write_sweep_csv(result, tmp_path)
@@ -247,6 +267,14 @@ class TestConvergenceStudy:
         assert len(dense_passes) == 3
         # the lattice check, the 5 states before the last, the final report
         assert len(rank_tests) == 7
+
+    def test_tracked_trial_builds_no_dense_rigidity_matrix(self, paper_fn, dense_rigidity_builds, rank_tests):
+        # the benchmark's tracked trial: every rank test is certified from the links
+        sim = SimulationParams(dt=0.01, horizon=0.5, record_every=10)
+        study = convergence_study(400, 0.2, 1, sim, paper_fn, track_rigidity=True)
+        assert study.records[0].rigidity_preserved
+        assert len(rank_tests) == 7 and {shape[1] for shape in rank_tests} == {800}
+        assert dense_rigidity_builds == []
 
     def test_tracked_trial_makes_no_svd_call(self, paper_fn, count_svd_calls):
         calls = count_svd_calls()

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from triswarm import (
     LatticeSpec,
     LinkSet,
+    RigidityMatrix,
     SimulationParams,
     SwarmConfig,
     compute_links,
@@ -276,6 +277,11 @@ def drop_links(links, frac, seed):
     return LinkSet(pairs=links.pairs[keep], lengths=links.lengths[keep])
 
 
+def rank_cases(cfg, links):
+    """(certified rank, SVD oracle rank) of a framework's rigidity matrix."""
+    return numerical_rank(RigidityMatrix(cfg, links)), svd_rank(rigidity_matrix(cfg, links))
+
+
 class TestCertifiedRank:
     @pytest.mark.parametrize("drop", [0.0, 0.1])
     @pytest.mark.parametrize("delta", [0.0, 0.2, 0.35])
@@ -284,39 +290,73 @@ class TestCertifiedRank:
     def test_agrees_with_svd_oracle_on_lattices(self, n, growth, delta, drop):
         cfg = perturb(generate_triangular(LatticeSpec(n=n, seed=n + 7, growth=growth), R_A), delta, n)
         links = drop_links(compute_links(cfg, R_A), drop, n)
-        m = rigidity_matrix(cfg, links)
-        expected = svd_rank(m)
-        assert numerical_rank(m, kernel=rigid_motion_basis(cfg)) == expected
+        rank, expected = rank_cases(cfg, links)
+        assert rank == expected
         assert is_infinitesimally_rigid(cfg, links) == (expected == 2 * n - 3)
+
+    @pytest.mark.parametrize(
+        "seed, growth, delta, drop",
+        [(0, "compact", 0.2, 0.0), (1, "accretion", 0.35, 0.0), (2, "accretion", 0.0, 0.1)],
+    )
+    def test_agrees_with_svd_oracle_at_n1000(self, seed, growth, delta, drop):
+        cfg = perturb(generate_triangular(LatticeSpec(n=1000, seed=seed, growth=growth), R_A), delta, seed)
+        rank, expected = rank_cases(cfg, drop_links(compute_links(cfg, R_A), drop, seed))
+        assert rank == expected
 
     def test_generated_lattices_are_certified(self, count_svd_calls):
         calls = count_svd_calls()
-        for n in (3, 25, 100, 400):
+        for n in (3, 25, 100, 400, 1000):
             cfg = generate_triangular(LatticeSpec(n=n, seed=n, growth="compact"), R_A)
             assert is_infinitesimally_rigid(cfg, compute_links(cfg, R_A))
         assert calls == []
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        q=st.integers(2, 30),
-        k=st.integers(0, 4),
-        extra=st.integers(0, 2),
-        scale=st.floats(-4.0, 4.0),
+        n=st.integers(2, 14),
+        density=st.floats(0.1, 1.0),
+        scale=st.floats(-3.0, 3.0),
     )
-    def test_planted_kernel(self, seed, q, k, extra, scale):
-        assume(k + extra < q)
+    def test_agrees_with_svd_oracle_on_random_frameworks(self, seed, n, density, scale):
+        # random points and a random subset of all pairs: dense subsets are rigid, sparse ones flex
         rng = np.random.default_rng(seed)
-        kernel, _ = np.linalg.qr(rng.normal(size=(q, k)))
-        r = q - k - extra  # rank of the row space before the kernel is projected out
-        a = rng.normal(size=(q + 3, r)) @ rng.normal(size=(r, q)) * 10.0**scale
-        m = a - (a @ kernel) @ kernel.T
-        expected = svd_rank(m)
-        assert numerical_rank(m, kernel=kernel) == numerical_rank(m) == expected
-        wrong, _ = np.linalg.qr(rng.normal(size=(q, max(k, 1))))
-        for bad in (wrong, kernel[:, : k - 1] if k else wrong):
-            assert not graph._certifies_corank(m, bad, graph.RANK_TOL)
-            assert numerical_rank(m, kernel=bad) == expected
+        cfg = SwarmConfig(rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0**scale)
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < density
+        links = LinkSet(pairs=np.column_stack([iu[keep], ju[keep]]), lengths=np.ones(keep.sum()))
+        rank, expected = rank_cases(cfg, links)
+        assert rank == expected
+
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [(14, "elongated: the largest aspect ratio of seeds 0-59"),
+         (16, "branched: the most agents of degree <= 2 of seeds 0-59")],
+    )
+    def test_accretion_draws_at_n400(self, count_svd_calls, seed, shape):
+        cfg = accretion_draw(400, seed)
+        links = compute_links(cfg, R_A)
+        calls = count_svd_calls()
+        assert is_infinitesimally_rigid(cfg, links)
+        assert calls == []  # certified
+        assert svd_rank(rigidity_matrix(cfg, links)) == 797
+
+    @pytest.mark.parametrize("length", [10, 200])
+    def test_two_row_strip(self, count_svd_calls, length):
+        xs = np.arange(length, dtype=float)
+        rows = [np.column_stack([xs, np.zeros(length)]), np.column_stack([xs + 0.5, np.full(length, 0.75**0.5)])]
+        cfg = SwarmConfig(np.concatenate(rows))
+        links = compute_links(cfg, R_A)
+        calls = count_svd_calls()
+        rank, expected = rank_cases(cfg, links)
+        assert rank == expected == 2 * cfg.n - 3
+        assert len(calls) == 1  # the oracle's: the strip is certified
+
+    @pytest.mark.parametrize("offset", [1e3, 1e4, 1e5, 1e6])
+    def test_translated_swarm(self, lattice100, offset):
+        # far from the origin the rigid motions are resolved to fewer digits
+        cfg = SwarmConfig(lattice100.positions + offset)
+        rank, expected = rank_cases(cfg, compute_links(cfg, R_A))
+        assert rank == expected == 197
 
     @pytest.mark.parametrize("case", ["square4", "collinear3"])
     def test_flexible_frameworks_reach_the_svd(self, request, count_svd_calls, case):
@@ -344,20 +384,27 @@ class TestCertifiedRank:
         assert not is_infinitesimally_rigid(cfg, compute_links(cfg, R_A))
         assert len(calls) == 1
 
-    def test_kernel_shape_validated(self, triangle):
-        m = rigidity_matrix(triangle, compute_links(triangle, R_A))
-        basis = rigid_motion_basis(triangle)
-        for bad in (basis[:-1], basis.reshape(-1), np.eye(6)):
-            with pytest.raises(InvalidInputError):
-                numerical_rank(m, kernel=bad)
+    def test_dense_matrix_built_only_for_the_svd(self, monkeypatch, triangle, square4):
+        builds = []
+        original = graph.rigidity_matrix
 
-    def test_kernel_orthonormality_validated(self, triangle):
-        m = rigidity_matrix(triangle, compute_links(triangle, R_A))
-        basis = rigid_motion_basis(triangle)
-        for bad in (2.0 * basis, basis + 1e-11, np.where(basis == basis[0, 0], np.nan, basis)):
-            with pytest.raises(InvalidInputError):
-                numerical_rank(m, kernel=bad)
-        assert numerical_rank(m, kernel=basis + 1e-14) == 3
+        def counted(config, links):
+            builds.append(links.m)
+            return original(config, links)
+
+        monkeypatch.setattr(graph, "rigidity_matrix", counted)
+        assert is_infinitesimally_rigid(triangle, compute_links(triangle, R_A))
+        assert builds == []
+        assert not is_infinitesimally_rigid(square4, compute_links(square4, 1.2))
+        assert builds == [4]
+
+    def test_lazy_matrix_is_the_dense_one(self, lattice25):
+        links = compute_links(lattice25, R_A)
+        lazy = RigidityMatrix(lattice25, links)
+        dense = rigidity_matrix(lattice25, links)
+        assert np.shape(lazy) == dense.shape == (links.m, 50)
+        assert np.array_equal(np.asarray(lazy), dense)
+        assert numerical_rank(lazy) == numerical_rank(dense) == 47
 
 
 class TestSwarmCenter:
