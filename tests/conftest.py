@@ -8,6 +8,7 @@ from triswarm import (
     SimulationParams,
     SwarmConfig,
     generate_triangular,
+    graph,
     saturated_lennard_jones,
 )
 
@@ -72,3 +73,17 @@ def count_svd_calls(monkeypatch):
         return calls
 
     return start
+
+
+@pytest.fixture
+def dense_rigidity_builds(monkeypatch):
+    """Link counts of the dense rigidity matrices (`graph.rigidity_matrix`) built from here on."""
+    builds = []
+    original = graph.rigidity_matrix
+
+    def counted(config, links):
+        builds.append(links.m)
+        return original(config, links)
+
+    monkeypatch.setattr(graph, "rigidity_matrix", counted)
+    return builds

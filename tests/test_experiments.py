@@ -46,20 +46,6 @@ def dense_passes(monkeypatch):
 
 
 @pytest.fixture
-def dense_rigidity_builds(monkeypatch):
-    """Link counts of the dense rigidity matrices (`graph.rigidity_matrix`) built from here on."""
-    builds = []
-    original = graph.rigidity_matrix
-
-    def counted(config, links):
-        builds.append(links.m)
-        return original(config, links)
-
-    monkeypatch.setattr(graph, "rigidity_matrix", counted)
-    return builds
-
-
-@pytest.fixture
 def rank_tests(monkeypatch):
     """Shapes of the matrices passed to `numerical_rank` from here on."""
     calls = []
