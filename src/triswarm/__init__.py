@@ -29,7 +29,6 @@ from .interaction import (
     lj_derivative,
     lj_force,
     lj_potential,
-    linear_spring,
     saturated_lennard_jones,
     validate_assumption1,
 )

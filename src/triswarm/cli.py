@@ -76,7 +76,7 @@ def cmd_simulate(args) -> int:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     lattice = generate_triangular(
-        LatticeSpec(n=cfg.n, R=cfg.R, seed=cfg.lattice_seed, growth=cfg.growth), cfg.R_a
+        LatticeSpec(n=cfg.n, R=fn.R, seed=cfg.lattice_seed, growth=cfg.growth), fn.R_a
     )
     initial = perturb(lattice, cfg.delta, cfg.perturb_seed)
     try:
@@ -89,7 +89,7 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(traj, outdir / "trajectory.csv")
 
     final = traj.final
-    report = is_triangular(final, cfg.R, cfg.R_a, tol_len=CONVERGENCE_E)
+    report = is_triangular(final, fn.R, fn.R_a, tol_len=CONVERGENCE_E)
     e_final = report.max_length_deviation
     if params.record_every == 1:
         diss = dissipation_check(traj, fn, params)
@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
                     f"{fmt(s.rate_numeric)},{s.link_count},{int(s.flagged)}\n"
                 )
     else:
-        v_series = energy_series(traj, fn, cfg.R_a)[0].tolist()
+        v_series = energy_series(traj, fn)[0].tolist()
     summary = {
         "e_final": e_final,
         "rigid_final": bool(report.rigid),
@@ -147,10 +147,10 @@ def cmd_spectrum(args) -> int:
         for si in range(cfg.spectrum_seeds_per_n):
             seed, _ = trial_seeds(cfg.lattice_seed, n, si)
             lattice = generate_triangular(
-                LatticeSpec(n=n, R=cfg.R, seed=seed, growth=cfg.growth), cfg.R_a
+                LatticeSpec(n=n, R=fn.R, seed=seed, growth=cfg.growth), fn.R_a
             )
             try:
-                report = analyze_configuration(lattice, fn, cfg.R_a)
+                report = analyze_configuration(lattice, fn)
             except (np.linalg.LinAlgError, SingularityError) as exc:
                 print(f"spectrum: numerical failure for n={n} seed={seed}: {exc}", file=sys.stderr)
                 return EXIT_NUMERICAL
@@ -196,9 +196,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    cfg = _resolve_config(args)
+    fn = _resolve_config(args).interaction()
     config = read_config_csv(args.csv)
-    report = is_triangular(config, cfg.R, cfg.R_a)
+    report = is_triangular(config, fn.R, fn.R_a)
     print(
         f"n={config.n} links={report.link_count} rank={report.rank} required={2 * config.n - 3} "
         f"infinitesimally_rigid={report.rigid}"

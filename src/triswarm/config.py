@@ -39,7 +39,6 @@ class ExperimentConfig:
     c: int = _key("interaction.c", _LJ.c)
     saturation: float = _key("interaction.saturation", _LJ.saturation)
     truncate: bool = _key("interaction.truncate", False)
-    R: float = _key("geometry.R", _SIM.R)
     R_a: float = _key("geometry.R_a", R_A_DEFAULT)
     R_s: float = _key("geometry.R_s", _SIM.R_s)
     dt: float = _key("simulation.dt", _SIM.dt)
@@ -59,15 +58,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Build what the config describes; their constructors check every range.
 
-        Only the rules no constructor states are checked here.
+        Only the rules no constructor states are checked here, among them
+        R_s >= R_a, which `simulate` would only check at run time.
         """
         fn = self.interaction()
         self.simulation_params()  # record_every as given; sweep_spec raises it to >= 10
         self.sweep_spec()
-        if abs(fn.R - self.R) > 1e-9 * self.R:
-            raise InvalidInputError(
-                f"R={self.R} inconsistent with force root (a/b)^(1/c)={fn.R:.12g}"
-            )
+        if self.R_s < fn.R_a:
+            raise InvalidInputError(f"sensing radius R_s={self.R_s} must be >= R_a={fn.R_a}")
         if self.delta < 0:
             raise InvalidInputError("perturbation radius delta must be non-negative")
         if not self.spectrum_n_values or min(self.spectrum_n_values) < 3:
@@ -86,8 +84,6 @@ class ExperimentConfig:
 
     def simulation_params(self, record_every: int | None = None) -> SimulationParams:
         return SimulationParams(
-            R=self.R,
-            R_a=self.R_a,
             R_s=self.R_s,
             dt=self.dt,
             horizon=self.horizon,

@@ -35,14 +35,9 @@ def _rate(u: np.ndarray) -> float:
     return -float(np.einsum("ik,ik->", u, u))
 
 
-def lyapunov_value(
-    config: SwarmConfig,
-    reference_center: np.ndarray,
-    fn: InteractionFunction,
-    r_a: float,
-) -> float:
-    """Squared center offset plus sum of link potentials (links recomputed here)."""
-    return _energy(config.positions, compute_links(config, r_a), reference_center, fn)
+def lyapunov_value(config: SwarmConfig, reference_center: np.ndarray, fn: InteractionFunction) -> float:
+    """Squared center offset plus sum of link potentials (links within fn.R_a, recomputed here)."""
+    return _energy(config.positions, compute_links(config, fn.R_a), reference_center, fn)
 
 
 def lyapunov_rate(config: SwarmConfig, fn: InteractionFunction, r_s: float) -> float:
@@ -50,9 +45,7 @@ def lyapunov_rate(config: SwarmConfig, fn: InteractionFunction, r_s: float) -> f
     return _rate(velocities(config.positions, fn, r_s)[0])
 
 
-def energy_series(
-    traj: Trajectory, fn: InteractionFunction, r_a: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def energy_series(traj: Trajectory, fn: InteractionFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy, link count and link-set change of every recorded state, in one link pass.
 
     The energy is `lyapunov_value` with the initial center as reference;
@@ -65,7 +58,7 @@ def energy_series(
     counts = np.empty(n_rec, dtype=int)
     changed = np.zeros(n_rec, dtype=bool)
     previous = None
-    for k, links in enumerate(links_along(traj.states, r_a)):
+    for k, links in enumerate(links_along(traj.states, fn.R_a)):
         values[k] = _energy(traj.states[k], links, ref, fn)
         counts[k] = links.m
         changed[k] = previous is not None and not np.array_equal(links.pairs, previous)
@@ -105,7 +98,7 @@ def dissipation_check(traj: Trajectory, fn: InteractionFunction, params: Simulat
         raise InvalidInputError("dissipation check requires record_every == 1")
     if traj.inputs is None:
         raise InvalidInputError("dissipation check requires a trajectory that carries its inputs")
-    values, counts, changed = energy_series(traj, fn, params.R_a)
+    values, counts, changed = energy_series(traj, fn)
     samples = []
     agree = 0
     unflagged = 0

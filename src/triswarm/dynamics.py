@@ -7,34 +7,25 @@ pairwise forces and hence the invariance of the swarm center.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidInputError
 from .graph import COINCIDENCE_EPS, SwarmConfig, pair_geometry
-from .interaction import R_A_DEFAULT, InteractionFunction
+from .interaction import InteractionFunction
 
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Geometry and integration parameters of one run."""
+    """Integration parameters and the sensing radius of one run."""
 
-    R: float = 1.0
-    R_a: float = R_A_DEFAULT
     R_s: float = 3.0
     dt: float = 0.01
     horizon: float = 20.0
     record_every: int = 1
 
     def __post_init__(self):
-        if not (self.R < self.R_a < self.R * math.sqrt(3.0)):
-            raise InvalidInputError(
-                f"R_a must lie strictly between R and R*sqrt(3): got R={self.R}, R_a={self.R_a}"
-            )
-        if self.R_s < self.R_a:
-            raise InvalidInputError("sensing radius R_s must be >= R_a")
         if self.dt <= 0:
             raise InvalidInputError("dt must be positive")
         if self.horizon < self.dt:
@@ -98,10 +89,14 @@ def simulate(
     Each recorded state is stored with the control input evaluated on it
     (`Trajectory.inputs`); the final state's input takes one evaluation
     beyond the n_steps that drive the integration and does not count its
-    coincident pairs.  On a non-finite state, IntegrationDivergedError carries
-    the states recorded so far, with their inputs.  Deterministic: identical
-    inputs produce bit-identical trajectories.
+    coincident pairs.  Raises InvalidInputError when the sensing radius R_s
+    is below the profile's maximum link length R_a.  On a non-finite state,
+    IntegrationDivergedError carries the states recorded so far, with their
+    inputs.  Deterministic: identical inputs produce bit-identical
+    trajectories.
     """
+    if params.R_s < fn.R_a:
+        raise InvalidInputError(f"sensing radius R_s={params.R_s} must be >= R_a={fn.R_a}")
     n_steps, stride = params.n_steps, params.record_every
     n_rec = -(-n_steps // stride) + 1  # steps 0, stride, 2 * stride, ... and the last
     pos = initial.positions.copy()

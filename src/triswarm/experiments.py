@@ -53,7 +53,7 @@ class SweepSpec:
             raise InvalidInputError("delta values must be sorted ascending")
         if self.trials_per_delta < 1:
             raise InvalidInputError("trials_per_delta must be >= 1")
-        LatticeSpec(n=self.n, R=self.sim.R, growth=self.growth)  # checks n and growth before any trial
+        LatticeSpec(n=self.n, growth=self.growth)  # checks n and growth before any trial
         object.__setattr__(self, "delta_values", deltas)
 
 
@@ -114,9 +114,7 @@ def _trial(n, delta, seeds, sim, fn, track_rigidity, growth, series=False):
     only.  Returns the record, the recorded times and the link errors.
     """
     lattice_seed, perturb_seed = seeds
-    lattice = generate_triangular(
-        LatticeSpec(n=n, R=sim.R, seed=lattice_seed, growth=growth), sim.R_a
-    )
+    lattice = generate_triangular(LatticeSpec(n=n, R=fn.R, seed=lattice_seed, growth=growth), fn.R_a)
     initial = perturb(lattice, delta, perturb_seed)
     diverged = False
     try:
@@ -127,12 +125,12 @@ def _trial(n, delta, seeds, sim, fn, track_rigidity, growth, series=False):
     last = len(traj.states) - 1
     states = traj.states if series or track_rigidity else traj.states[:1]
     errors, flags = [], []
-    for k, links in enumerate(links_along(states, sim.R_a)):
+    for k, links in enumerate(links_along(states, fn.R_a)):
         if k == 0 or series:
-            errors.append(link_deviation(links, sim.R))
+            errors.append(link_deviation(links, fn.R))
         if track_rigidity and k < last:
             flags.append(is_infinitesimally_rigid(traj.config(k), links))
-    report = is_triangular(traj.final, sim.R, sim.R_a, tol_len=CONVERGENCE_E)
+    report = is_triangular(traj.final, fn.R, fn.R_a, tol_len=CONVERGENCE_E)
     e_final = report.max_length_deviation  # inf when no links remain
     rigid = report.rigid
     converged = (not diverged) and rigid and e_final <= CONVERGENCE_E

@@ -173,16 +173,19 @@ def rigid_motion_basis(config: SwarmConfig) -> np.ndarray:
     """Orthonormal (2n, 3) basis: x-translation, y-translation, rotation about the center.
 
     Every column is annihilated by the configuration's rigidity matrix.
-    Raises DegenerateConfigurationError when the rotation is not resolved:
-    every agent at one point, or a spread so small that the rounding of the
-    center leaves the rotation column short of orthogonal to the translations.
+    The positions are centered relative to the first agent, so a swarm far
+    from the origin keeps the digits of its spread.  Raises
+    DegenerateConfigurationError when the rotation is not resolved: every
+    agent at one point, or a spread so small that the rounding of the center
+    leaves the rotation column short of orthogonal to the translations.
     """
     if config.n < 2:
         raise InvalidInputError("basis requires n >= 2")
     n = config.n
     tx = np.tile([1.0, 0.0], n)
     ty = np.tile([0.0, 1.0], n)
-    centered = config.positions - swarm_center(config)
+    shifted = config.positions - config.positions[0]
+    centered = shifted - shifted.mean(axis=0)
     rot = np.column_stack([-centered[:, 1], centered[:, 0]]).reshape(-1)
     rot_norm = np.linalg.norm(rot)
     if rot_norm == 0.0:

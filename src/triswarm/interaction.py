@@ -124,10 +124,12 @@ def saturation_knot(params: LennardJonesParams) -> float:
 
 @dataclass(frozen=True)
 class InteractionFunction:
-    """Force profile with its derivative and potential, plus geometry.
+    """Force profile with its derivative and potential, its root R and maximum link length R_a.
 
-    Invariants: force(R) = 0; potential(R) = 0 and potential > 0 elsewhere
-    on (0, R_a]; d(potential)/dz = -force where the force is continuous.
+    Every layer reads R and R_a from here.  Construction checks
+    R < R_a < sqrt(3) R.  Invariants: force(R) = 0; potential(R) = 0 and
+    potential > 0 elsewhere on (0, R_a]; d(potential)/dz = -force where the
+    force is continuous.
     The callables are module functions bound with functools.partial, so a
     profile pickles and can be sent to worker processes.
     """
@@ -139,6 +141,12 @@ class InteractionFunction:
     R_a: float
     params: LennardJonesParams | None = None
     truncated: bool = False
+
+    def __post_init__(self):
+        if not (self.R < self.R_a < self.R * math.sqrt(3.0)):
+            raise InvalidInputError(
+                f"R_a must lie strictly between R and R*sqrt(3): got R={self.R}, R_a={self.R_a}"
+            )
 
 
 def saturated_lennard_jones(
@@ -155,47 +163,15 @@ def saturated_lennard_jones(
     """
     if params is None:
         params = LennardJonesParams()
-    r = params.root
-    if not (r < r_a):
-        raise InvalidInputError("r_a must exceed the force root R")
     cutoff = r_a if truncate else math.inf
     return InteractionFunction(
         force=partial(lj_force, params=params, r_a=cutoff),
         derivative=partial(lj_derivative, params=params, r_a=cutoff),
         potential=partial(lj_potential, params=params, r_a=cutoff),
-        R=r,
+        R=params.root,
         R_a=r_a,
         params=params,
         truncated=truncate,
-    )
-
-
-def _spring_force(z, r: float):
-    z = _require_positive(z)
-    out = r - z
-    return out if out.ndim else float(out)
-
-
-def _spring_derivative(z):
-    z = _require_positive(z)
-    out = np.full_like(z, -1.0)
-    return out if out.ndim else float(out)
-
-
-def _spring_potential(z, r: float):
-    z = _require_positive(z)
-    out = 0.5 * (z - r) ** 2
-    return out if out.ndim else float(out)
-
-
-def linear_spring(r: float = 1.0, r_a: float = R_A_DEFAULT) -> InteractionFunction:
-    """Unsaturated linear profile f(z) = r - z; crosses zero at r but never vanishes."""
-    return InteractionFunction(
-        force=partial(_spring_force, r=r),
-        derivative=_spring_derivative,
-        potential=partial(_spring_potential, r=r),
-        R=r,
-        R_a=r_a,
     )
 
 

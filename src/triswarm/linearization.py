@@ -134,9 +134,9 @@ def spectral_analysis(j: np.ndarray, rigidity: np.ndarray) -> SpectrumReport:
     )
 
 
-def analyze_configuration(config: SwarmConfig, fn: InteractionFunction, r_a: float) -> SpectrumReport:
-    """Jacobian, rigidity matrix and spectrum report for one configuration, from one link set."""
-    links = _links(config, r_a)
+def analyze_configuration(config: SwarmConfig, fn: InteractionFunction) -> SpectrumReport:
+    """Jacobian, rigidity matrix and spectrum report for one configuration, from its links within fn.R_a."""
+    links = _links(config, fn.R_a)
     return spectral_analysis(_jacobian(config, links, fn), rigidity_matrix(config, links))
 
 

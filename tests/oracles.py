@@ -5,9 +5,11 @@ of the closed-form potential, central differences instead of the assembled
 Jacobian, and numpy's rank instead of the thresholded SVD counter.  The
 loop, general-eigensolve and recomputing references reproduce earlier
 implementations that the library's faster paths must agree with.
+`linear_spring` is a second force profile, one that never vanishes.
 """
 
 import csv
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -15,6 +17,7 @@ import scipy.linalg
 from triswarm.diagnostics import DISSIPATION_TOL, DissipationReport, LyapunovSample
 from triswarm.dynamics import velocities
 from triswarm.graph import compute_links
+from triswarm.interaction import R_A_DEFAULT, InteractionFunction
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=50):
@@ -168,6 +171,32 @@ def csv_write_trajectory(traj, path):
                 writer.writerow([fmt(t), i, fmt(x), fmt(y)])
 
 
+def _spring_force(z, r: float):
+    out = r - np.asarray(z, dtype=float)
+    return out if out.ndim else float(out)
+
+
+def _spring_derivative(z):
+    out = np.full_like(np.asarray(z, dtype=float), -1.0)
+    return out if out.ndim else float(out)
+
+
+def _spring_potential(z, r: float):
+    out = 0.5 * (np.asarray(z, dtype=float) - r) ** 2
+    return out if out.ndim else float(out)
+
+
+def linear_spring(r: float = 1.0, r_a: float = R_A_DEFAULT) -> InteractionFunction:
+    """Unsaturated linear profile f(z) = r - z: crosses zero at r but never vanishes."""
+    return InteractionFunction(
+        force=partial(_spring_force, r=r),
+        derivative=_spring_derivative,
+        potential=partial(_spring_potential, r=r),
+        R=r,
+        R_a=r_a,
+    )
+
+
 def recompute_dissipation_check(traj, fn, params):
     """dissipation_check that runs compute_links and velocities on every recorded state."""
     ref = traj.states[0].mean(axis=0)
@@ -175,7 +204,7 @@ def recompute_dissipation_check(traj, fn, params):
     values = np.empty(n_rec)
     link_keys, link_counts = [], []
     for k in range(n_rec):
-        links = compute_links(traj.config(k), params.R_a)
+        links = compute_links(traj.config(k), fn.R_a)
         center_term = float(np.sum((ref - traj.states[k].mean(axis=0)) ** 2))
         values[k] = center_term + (float(np.sum(fn.potential(links.lengths))) if links.m else 0.0)
         link_keys.append(links.pairs.tobytes())

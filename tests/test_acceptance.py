@@ -125,7 +125,7 @@ def test_criterion_05_spectral_split(paper_fn):
     for n in (25, 50, 100):
         for seed in range(10):
             lattice = generate_triangular(LatticeSpec(n=n, seed=seed, growth="compact"), R_A)
-            rep = analyze_configuration(lattice, paper_fn, R_A)
+            rep = analyze_configuration(lattice, paper_fn)
             j = jacobian(lattice, paper_fn, R_A)
             angles = kernel_principal_angles(lattice, j)
             # Laplacian part of the Jacobian at the design link length: the

@@ -127,7 +127,7 @@ class TestSimulate:
         lattice = generate_triangular(LatticeSpec(n=25, seed=3, growth="compact"), R_A)
         traj = simulate(perturb(lattice, 0.5, 4), fn, SimulationParams(horizon=3.0, record_every=7))
         ref = swarm_center(traj.initial)
-        assert v_series == [lyapunov_value(traj.config(k), ref, fn, R_A) for k in range(len(traj.times))]
+        assert v_series == [lyapunov_value(traj.config(k), ref, fn) for k in range(len(traj.times))]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(["simulate", "--config", str(tmp_path / "nope.cfg")])
@@ -249,6 +249,13 @@ class TestValidate:
         cfg.write_text("interaction.b = 0\n")
         assert run(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_force_root_key_is_unknown(self, tmp_path, capsys):
+        # R is the root of the force profile, (a/b)^(1/c), not a key of its own
+        cfg = tmp_path / "root.cfg"
+        cfg.write_text("geometry.R = 1.0\n")
+        assert run(["validate", "--config", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_unsorted_delta_grid_is_a_config_error(self, tmp_path, capsys):
         # validate builds the sweep's SweepSpec, so it rejects what sweep rejects

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from triswarm import (
     generate_triangular,
     simulate,
 )
-from triswarm.config import ExperimentConfig, load_config, parse_config_text
+from triswarm.config import _FIELDS_BY_KEY, ExperimentConfig, load_config, parse_config_text
 from triswarm.errors import InvalidInputError
 from triswarm.serialize import (
     read_config_csv,
@@ -30,7 +32,7 @@ class TestExperimentConfig:
     def test_defaults_follow_reference_setup(self):
         cfg = ExperimentConfig()
         cfg.validate()
-        assert cfg.R == 1.0
+        assert cfg.interaction().R == 1.0
         assert cfg.R_a == pytest.approx(R_A)
         assert cfg.R_s == 3.0
         assert (cfg.a, cfg.b, cfg.c) == (0.5, 0.5, 12)
@@ -39,7 +41,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(R=2.0),  # inconsistent with force root
+            dict(a=0.01),  # R = 0.02^(1/12) ~ 0.72, so the default R_a lies beyond R*sqrt(3)
             dict(R_a=1.8),
             dict(R_s=1.0),
             dict(dt=-0.01),
@@ -110,7 +112,6 @@ class TestConfigFile:
         interaction.c = 6
         interaction.saturation = 2.5
         interaction.truncate = on
-        geometry.R = 1.0
         geometry.R_a = 1.3
         geometry.R_s = 2.5
         simulation.dt = 0.02
@@ -131,7 +132,7 @@ class TestConfigFile:
         assert keys == {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
         expected = ExperimentConfig(
             a=0.25, b=0.25, c=6, saturation=2.5, truncate=True,
-            R=1.0, R_a=1.3, R_s=2.5,
+            R_a=1.3, R_s=2.5,
             dt=0.02, horizon=3.0, record_every=5,
             n=30, delta=0.1, delta_grid=(0.1, 0.2, 0.3), trials=4,
             lattice_seed=7, perturb_seed=8, growth="accretion",
@@ -166,6 +167,16 @@ class TestConfigFile:
     def test_missing_equals_rejected(self):
         with pytest.raises(InvalidInputError):
             parse_config_text("experiment.n 25")
+
+    def test_force_root_follows_the_coefficients(self):
+        cfg = parse_config_text("interaction.a = 1.0")
+        cfg.validate()
+        assert cfg.interaction().R == 2 ** (1 / 12)
+
+    def test_readme_key_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        documented = re.findall(r"^\| `([a-z_]+\.[A-Za-z_]+)` \|", readme, flags=re.MULTILINE)
+        assert sorted(documented) == sorted(_FIELDS_BY_KEY)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -29,16 +29,16 @@ R_A = (1.0 + math.sqrt(3.0)) / 2.0
 class TestLyapunovValue:
     def test_lattice_at_own_center_is_zero(self, lattice25, paper_fn):
         c = swarm_center(lattice25)
-        assert lyapunov_value(lattice25, c, paper_fn, R_A) == pytest.approx(0.0, abs=1e-12)
+        assert lyapunov_value(lattice25, c, paper_fn) == pytest.approx(0.0, abs=1e-12)
 
     def test_translation_contributes_center_term_only(self, lattice25, paper_fn):
         c = swarm_center(lattice25)
         moved = SwarmConfig(lattice25.positions + np.array([1.0, 0.0]))
-        assert lyapunov_value(moved, c, paper_fn, R_A) == pytest.approx(1.0, abs=1e-10)
+        assert lyapunov_value(moved, c, paper_fn) == pytest.approx(1.0, abs=1e-10)
 
     def test_stretched_link_adds_its_potential(self, paper_fn):
         cfg = SwarmConfig(np.array([[0.0, 0.0], [1.1, 0.0]]))
-        v = lyapunov_value(cfg, swarm_center(cfg), paper_fn, R_A)
+        v = lyapunov_value(cfg, swarm_center(cfg), paper_fn)
         oracle = -adaptive_simpson(lambda y: float(paper_fn.force(y)), 1.0, 1.1)
         assert v == pytest.approx(oracle, abs=1e-10)
         assert v > 0.0
@@ -47,7 +47,7 @@ class TestLyapunovValue:
         rng = np.random.default_rng(8)
         for _ in range(25):
             cfg = SwarmConfig(rng.uniform(-2, 2, (8, 2)))
-            assert lyapunov_value(cfg, swarm_center(cfg), paper_fn, R_A) >= 0.0
+            assert lyapunov_value(cfg, swarm_center(cfg), paper_fn) >= 0.0
 
 
 class TestLyapunovRate:
@@ -122,7 +122,7 @@ class TestDissipationCheck:
         ref = swarm_center(traj.initial)
         assert len(report.values) == len(traj.times)
         for k, value in enumerate(report.values):
-            assert value == lyapunov_value(traj.config(k), ref, paper_fn, R_A)
+            assert value == lyapunov_value(traj.config(k), ref, paper_fn)
         assert list(report.values[:-1]) == [s.value for s in report.samples]
 
     @pytest.mark.parametrize("truncate", [False, True])
@@ -159,11 +159,11 @@ class TestEnergySeries:
     @pytest.mark.parametrize("stride", [1, 7])
     def test_values_counts_and_changes(self, paper_fn, lattice25, stride):
         traj = simulate(perturb(lattice25, 0.5, 2), paper_fn, SimulationParams(horizon=2.0, record_every=stride))
-        values, counts, changed = energy_series(traj, paper_fn, R_A)
+        values, counts, changed = energy_series(traj, paper_fn)
         ref = swarm_center(traj.initial)
         pairs = [compute_links(traj.config(k), R_A).pairs for k in range(len(traj.times))]
         assert values.tolist() == [
-            lyapunov_value(traj.config(k), ref, paper_fn, R_A) for k in range(len(traj.times))
+            lyapunov_value(traj.config(k), ref, paper_fn) for k in range(len(traj.times))
         ]
         assert counts.tolist() == [len(p) for p in pairs]
         assert changed.tolist() == [False] + [

@@ -12,6 +12,7 @@ from triswarm import (
     compute_links,
     generate_triangular,
     perturb,
+    saturated_lennard_jones,
     simulate,
     velocities,
 )
@@ -32,9 +33,6 @@ class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(R_a=0.9),
-            dict(R_a=1.8),  # beyond R*sqrt(3)
-            dict(R_s=1.0),
             dict(dt=0.0),
             dict(horizon=0.005),
             dict(record_every=0),
@@ -43,6 +41,12 @@ class TestParams:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
             SimulationParams(**kwargs)
+
+    @pytest.mark.parametrize("r_s, r_a", [(1.0, R_A), (1.6, 1.7)], ids=["default-profile", "wide-profile"])
+    def test_sensing_radius_below_the_profiles_link_length_rejected(self, r_s, r_a):
+        fn = saturated_lennard_jones(r_a=r_a)
+        with pytest.raises(InvalidInputError, match="sensing radius"):
+            simulate(pair(1.0), fn, SimulationParams(R_s=r_s, horizon=0.1))
 
 
 def one_step(config, fn):

@@ -119,11 +119,11 @@ class TestRunTrial:
         # the lattice check, e_initial from the first recorded state, the final report
         assert len(dense_passes) == 3
         assert len(rank_tests) == 2  # the lattice check and the final report
-        spec = LatticeSpec(n=10, R=FAST_SIM.R, seed=1, growth="compact")
-        start = perturb(generate_triangular(spec, FAST_SIM.R_a), 0.05, 2)
+        spec = LatticeSpec(n=10, R=paper_fn.R, seed=1, growth="compact")
+        start = perturb(generate_triangular(spec, paper_fn.R_a), 0.05, 2)
         final = simulate(start, paper_fn, FAST_SIM).final
-        assert rec.e_final == link_error(final, FAST_SIM.R, FAST_SIM.R_a)
-        assert rec.e_initial == link_error(start, FAST_SIM.R, FAST_SIM.R_a)
+        assert rec.e_final == link_error(final, paper_fn.R, paper_fn.R_a)
+        assert rec.e_initial == link_error(start, paper_fn.R, paper_fn.R_a)
 
     def test_diverged_trial_scores_the_recorded_prefix(self):
         # the exploding profile diverges on the first step: the prefix is the start
@@ -237,11 +237,11 @@ class TestConvergenceStudy:
         study = convergence_study(100, 0.35, 3, sim, paper_fn, track_rigidity=True)
         assert [r.rigidity_preserved for r in study.records] == [True, False, False]
         for series, record in zip(study.series, study.records):
-            spec = LatticeSpec(n=100, R=sim.R, seed=record.lattice_seed, growth="compact")
-            start = perturb(generate_triangular(spec, sim.R_a), 0.35, record.perturb_seed)
+            spec = LatticeSpec(n=100, R=paper_fn.R, seed=record.lattice_seed, growth="compact")
+            start = perturb(generate_triangular(spec, paper_fn.R_a), 0.35, record.perturb_seed)
             states = [SwarmConfig(s) for s in simulate(start, paper_fn, sim).states]
-            assert series.tolist() == [link_error(s, sim.R, sim.R_a) for s in states]
-            flags = [is_infinitesimally_rigid(s, compute_links(s, sim.R_a)) for s in states]
+            assert series.tolist() == [link_error(s, paper_fn.R, paper_fn.R_a) for s in states]
+            flags = [is_infinitesimally_rigid(s, compute_links(s, paper_fn.R_a)) for s in states]
             assert record.rigidity_preserved == all(flags)
 
     def test_tracked_trial_link_passes(self, paper_fn, dense_passes, rank_tests):

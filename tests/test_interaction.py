@@ -9,14 +9,13 @@ from triswarm import (
     lj_derivative,
     lj_force,
     lj_potential,
-    linear_spring,
     saturated_lennard_jones,
     validate_assumption1,
 )
 from triswarm.errors import DomainError, InvalidInputError
-from triswarm.interaction import saturation_knot
+from triswarm.interaction import InteractionFunction, saturation_knot
 
-from .oracles import adaptive_simpson
+from .oracles import adaptive_simpson, linear_spring
 
 R_A = (1.0 + math.sqrt(3.0)) / 2.0
 PARAMS = LennardJonesParams()
@@ -161,9 +160,15 @@ class TestParamsValidation:
         with pytest.raises(InvalidInputError):
             LennardJonesParams(**kwargs)
 
-    def test_cutoff_must_exceed_root(self):
+    @pytest.mark.parametrize("r_a", [0.9, 1.0, 1.8])  # at or below R, beyond R*sqrt(3)
+    def test_cutoff_outside_the_link_window(self, r_a):
         with pytest.raises(InvalidInputError):
-            saturated_lennard_jones(r_a=0.9)
+            saturated_lennard_jones(r_a=r_a)
+
+    @pytest.mark.parametrize("r_a", [0.9, 1.8])
+    def test_hand_built_profile_checks_the_link_window(self, r_a):
+        with pytest.raises(InvalidInputError, match="R_a must lie strictly between"):
+            InteractionFunction(force=abs, derivative=abs, potential=abs, R=1.0, R_a=r_a)
 
 
 GRID = np.linspace(0.05, 5.0, 2001)

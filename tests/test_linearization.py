@@ -134,14 +134,14 @@ class TestRigidMotionBasis:
 
 class TestSpectralAnalysis:
     def test_triangle_split(self, paper_fn, triangle):
-        report = analyze_configuration(triangle, paper_fn, R_A)
+        report = analyze_configuration(triangle, paper_fn)
         assert report.zero_count == 3
         assert report.negative_count == 3
         assert report.kernel_aligned
         assert report.unclassified_count == 0
 
     def test_lattice_split_and_kernel(self, paper_fn, lattice25):
-        report = analyze_configuration(lattice25, paper_fn, R_A)
+        report = analyze_configuration(lattice25, paper_fn)
         assert report.zero_count == 3
         assert report.negative_count == 2 * 25 - 3
         assert report.kernel_aligned
@@ -159,15 +159,15 @@ class TestSpectralAnalysis:
         th = 0.4
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         moved = SwarmConfig(lattice25.positions @ rot.T + np.array([2.0, -1.0]))
-        ev_a = np.sort(analyze_configuration(lattice25, paper_fn, R_A).eigenvalues.real)
-        ev_b = np.sort(analyze_configuration(moved, paper_fn, R_A).eigenvalues.real)
+        ev_a = np.sort(analyze_configuration(lattice25, paper_fn).eigenvalues.real)
+        ev_b = np.sort(analyze_configuration(moved, paper_fn).eigenvalues.real)
         np.testing.assert_allclose(ev_a, ev_b, atol=1e-9)
 
     def test_spectrum_invariant_under_relabeling(self, paper_fn, lattice25):
         perm = np.random.default_rng(2).permutation(lattice25.n)
         relabeled = SwarmConfig(lattice25.positions[perm])
-        ev_a = np.sort(analyze_configuration(lattice25, paper_fn, R_A).eigenvalues.real)
-        ev_b = np.sort(analyze_configuration(relabeled, paper_fn, R_A).eigenvalues.real)
+        ev_a = np.sort(analyze_configuration(lattice25, paper_fn).eigenvalues.real)
+        ev_b = np.sort(analyze_configuration(relabeled, paper_fn).eigenvalues.real)
         np.testing.assert_allclose(ev_a, ev_b, atol=1e-9)
 
     def test_rejects_odd_dimension(self, lattice25):
@@ -225,6 +225,6 @@ class TestSpectralAnalysis:
         for name, module in list(sys.modules.items()):
             if name.startswith("triswarm") and getattr(module, "compute_links", None) is original:
                 monkeypatch.setattr(module, "compute_links", counted)
-        report = analyze_configuration(lattice25, paper_fn, R_A)
+        report = analyze_configuration(lattice25, paper_fn)
         assert report.zero_count == 3
         assert len(calls) == 1

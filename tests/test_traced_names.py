@@ -79,7 +79,7 @@ def test_jacobian_probe_call(probe_inputs):
 def test_analyze_configuration_call(probe_inputs):
     # `triswarm spectrum` in the cli_analysis workload calls it once per lattice
     fn, lattice = probe_inputs
-    report = analyze_configuration(lattice, fn, fn.R_a)
+    report = analyze_configuration(lattice, fn)
     assert (report.zero_count, report.negative_count) == (3, 2 * lattice.n - 3)
     assert report.kernel_aligned
 
