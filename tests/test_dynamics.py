@@ -33,6 +33,9 @@ class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            dict(dt=-0.01),
+            dict(horizon=0.0),
+            dict(record_every=-1),
             dict(dt=0.0),
             dict(horizon=0.005),
             dict(record_every=0),
